@@ -9,7 +9,8 @@ the usual kinematic update
 
 except that braking through zero stops at the standstill point: when
 ``v + a*delta < 0`` the vehicle travels ``v^2 / (2|a|)`` and ends with
-``v' = 0`` (no reversing).
+``v' = 0`` (no reversing).  This update lives in one scalar kernel,
+``_advance``, which both ``step`` and ``rollout`` use.
 
 Status advances monotonically enter -> inside -> exit against the occupancy
 disc of radius ``r_in + diameter``: a vehicle becomes *inside* when its
@@ -17,6 +18,13 @@ centre distance first drops to that radius and *exit* when the distance first
 exceeds it again.  Because centre distance is monotone along each block of
 every path built here, this hysteresis rule is equivalent to switching at the
 two crossing arclens.
+
+``rollout`` advances every strategy in scalar code and then maps all of its
+arclens to poses with a single ``pose_batch`` call.  Poses stay on
+``pose_batch`` rather than the scalar ``pose`` because numpy's ``arctan2`` and
+``hypot`` differ from libm's in the last ulp at some points (about 3% of line
+and arc points sampled on the default geometry), so a scalar rollout would not
+reproduce the same arrays bit for bit.
 """
 
 from __future__ import annotations
@@ -54,12 +62,16 @@ class Configuration:
         return self.r * math.cos(self.theta), self.r * math.sin(self.theta)
 
 
+# plain names: enum attribute lookup would dominate the per-stage status update
+_ENTER, _INSIDE, _EXIT = Status.ENTER, Status.INSIDE, Status.EXIT
+
+
 def advance_status(status: Status, rho: float, threshold: float) -> Status:
     """One hysteresis update of the traversal status given centre distance."""
-    if status == Status.ENTER and rho <= threshold:
-        return Status.INSIDE
-    if status == Status.INSIDE and rho > threshold:
-        return Status.EXIT
+    if status == _ENTER and rho <= threshold:
+        return _INSIDE
+    if status == _INSIDE and rho > threshold:
+        return _EXIT
     return status
 
 
@@ -70,22 +82,28 @@ def update_status(x: Configuration, geometry: Geometry,
     return x if new == x.status else replace(x, status=new)
 
 
+def _check_inputs(v: float, delta: float) -> None:
+    if delta <= 0.0:
+        raise ValueError(f"delta must be positive, got {delta}")
+    if v < 0.0:
+        raise ValueError(f"speed must be non-negative, got {v}")
+
+
+def _advance(s: float, v: float, a: float, delta: float) -> tuple[float, float]:
+    """One kinematic step from arclen ``s`` at speed ``v``: ``(s', v')``."""
+    v_next = v + a * delta
+    if v_next < 0.0:
+        return s + v * v / (2.0 * abs(a)), 0.0  # brake to standstill mid-step
+    return s + (v * delta + 0.5 * a * delta * delta), v_next
+
+
 def step(x: Configuration, a: float, delta: float, path: NavigationPath,
          diameter: float = VEHICLE_DIAMETER) -> Configuration:
     """Apply acceleration ``a`` for ``delta`` seconds along ``path``."""
-    if delta <= 0.0:
-        raise ValueError(f"delta must be positive, got {delta}")
-    if x.v < 0.0:
-        raise ValueError(f"speed must be non-negative, got {x.v}")
+    _check_inputs(x.v, delta)
     if x.arclen is None:
         raise ValueError("configuration is not bound to a path position")
-    v_next = x.v + a * delta
-    if v_next < 0.0:
-        disp = x.v * x.v / (2.0 * abs(a))  # brake to standstill mid-step
-        v_next = 0.0
-    else:
-        disp = x.v * delta + 0.5 * a * delta * delta
-    arclen = x.arclen + disp
+    arclen, v_next = _advance(x.arclen, x.v, a, delta)
     rho, theta, _ = path.pose(arclen)
     status = advance_status(x.status, rho, path.r_in + diameter)
     return Configuration(r=rho, theta=theta, v=v_next, status=status, arclen=arclen)
@@ -112,40 +130,43 @@ class Rollout:
 def rollout(path: NavigationPath, arclen0: float, v0: float, status0: Status,
             accels: np.ndarray, delta: float,
             diameter: float = VEHICLE_DIAMETER) -> Rollout:
-    """Vectorised ``step`` over strategies: same kinematics, same hysteresis."""
+    """``step`` over every strategy: same kernel, same hysteresis.
+
+    The ``S x (h-1)`` stage arclens go through one ``pose_batch`` call; see
+    the module docstring for why poses are not taken from scalar ``pose``.
+    """
+    v0 = float(v0)
+    arclen0 = float(arclen0)
+    _check_inputs(v0, delta)
     accels = np.asarray(accels, dtype=float)
     n, h = accels.shape
-    thr = path.r_in + diameter
-    theta = np.empty((n, h))
-    rho = np.empty((n, h))
-    vel = np.empty((n, h))
-    status = np.empty((n, h), dtype=np.int8)
-    arc = np.empty((n, h))
     rho0, theta0, _ = path.pose(arclen0)
-    theta[:, 0] = theta0
+    arcs, vels = [], []
+    for row in accels[:, :h - 1].tolist():
+        s, v = arclen0, v0
+        arc_row, vel_row = [arclen0], [v0]
+        for a in row:
+            s, v = _advance(s, v, a, delta)
+            arc_row.append(s)
+            vel_row.append(v)
+        arcs.append(arc_row)
+        vels.append(vel_row)
+    arc = np.array(arcs)
+    rho = np.empty((n, h))
+    theta = np.empty((n, h))
     rho[:, 0] = rho0
-    vel[:, 0] = v0
-    status[:, 0] = int(status0)
-    arc[:, 0] = arclen0
-    v = np.full(n, float(v0))
-    s = np.full(n, float(arclen0))
-    st = np.full(n, int(status0), dtype=np.int8)
-    for tau in range(1, h):
-        a = accels[:, tau - 1]
-        v_next = v + a * delta
-        neg = v_next < 0.0
-        denom = np.where(neg, np.abs(a), 1.0)
-        disp = np.where(neg, v * v / (2.0 * denom), v * delta + 0.5 * a * delta * delta)
-        v = np.where(neg, 0.0, v_next)
-        s = s + disp
-        r_t, th_t, _ = path.pose_batch(s)
-        st = np.where((st == int(Status.ENTER)) & (r_t <= thr),
-                      int(Status.INSIDE), st).astype(np.int8)
-        st = np.where((st == int(Status.INSIDE)) & (r_t > thr),
-                      int(Status.EXIT), st).astype(np.int8)
-        theta[:, tau] = th_t
-        rho[:, tau] = r_t
-        vel[:, tau] = v
-        status[:, tau] = st
-        arc[:, tau] = s
-    return Rollout(theta=theta, rho=rho, v=vel, status=status, arclen=arc)
+    theta[:, 0] = theta0
+    r_t, th_t, _ = path.pose_batch(arc[:, 1:].ravel())
+    rho[:, 1:] = r_t.reshape(n, h - 1)
+    theta[:, 1:] = th_t.reshape(n, h - 1)
+    thr = path.r_in + diameter
+    codes = []
+    for r_row in rho[:, 1:].tolist():
+        st = status0
+        code_row = [st]
+        for r in r_row:
+            st = advance_status(st, r, thr)
+            code_row.append(st)
+        codes.append(code_row)
+    status = np.array(codes, dtype=np.int8)
+    return Rollout(theta=theta, rho=rho, v=np.array(vels), status=status, arclen=arc)

@@ -31,6 +31,7 @@ extrapolates along the final segment, negative arclen is an error.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 
@@ -123,7 +124,7 @@ class Segment:
     def __init__(self, type_, label, length, ax=0.0, ay=0.0, bx=0.0, by=0.0,
                  radius=0.0, psi0=0.0, orient=0.0):
         self.type = type_
-        self.label = label
+        self.label = Status(label)
         self.length = length
         # line: (ax, ay) origin, (bx, by) unit direction
         # arc/circle: (ax, ay) centre, radius, psi0 start angle, orient +-1
@@ -167,7 +168,8 @@ class NavigationPath:
         cum = [0.0]
         for seg in self.segments:
             cum.append(cum[-1] + seg.length)
-        self._s0 = np.asarray(cum[:-1])
+        self._starts = cum[:-1]
+        self._s0 = np.asarray(self._starts)
         self.total_length = cum[-1]
         self.total_enter_len = sum(
             s.length for s in self.segments if s.label == Status.ENTER)
@@ -176,38 +178,30 @@ class NavigationPath:
             self.exit_angle = math.atan2(last.by, last.bx) % TWO_PI
         else:
             self.exit_angle = math.nan
-        # flat parameter table for vectorised pose queries
-        n = len(self.segments)
-        self._types = np.array([s.type for s in self.segments], dtype=np.int8)
+        # column table for vectorised pose queries; lines get radius 1 so the
+        # arc formula, evaluated at every point and discarded on lines, stays finite
+        types = np.array([s.type for s in self.segments])
+        self._is_line = types == _LINE
+        self._is_circle = types == _CIRCLE
         self._labels = np.array([int(s.label) for s in self.segments], dtype=np.int8)
-        self._params = np.zeros((n, 6))
-        for i, s in enumerate(self.segments):
-            self._params[i] = (s.ax, s.ay, s.bx, s.by, s.radius, s.psi0)
-        self._orients = np.array([s.orient for s in self.segments])
+        self._cols = np.array([(s.ax, s.ay, s.bx, s.by, 1.0 if s.type == _LINE else s.radius,
+                                s.psi0, s.orient) for s in self.segments]).T.copy()
 
     def _segment_index(self, arclen):
         if arclen < 0.0:
             raise ValueError(f"arclen must be non-negative, got {arclen}")
-        lo, hi = 0, len(self.segments) - 1
-        s0 = self._s0
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if s0[mid] <= arclen:
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo
+        return bisect_right(self._starts, arclen) - 1
 
     def pose(self, arclen):
         """Map arclen to (rho, theta, base label); extrapolates past the end."""
         i = self._segment_index(arclen)
         seg = self.segments[i]
-        t = arclen - float(self._s0[i])
+        t = arclen - self._starts[i]
         if seg.type == _CIRCLE:
             theta = (seg.psi0 + seg.orient * t / seg.radius) % TWO_PI
-            return seg.radius, theta, Status(seg.label)
+            return seg.radius, theta, seg.label
         x, y = seg.point_at(t)
-        return math.hypot(x, y), math.atan2(y, x) % TWO_PI, Status(seg.label)
+        return math.hypot(x, y), math.atan2(y, x) % TWO_PI, seg.label
 
     def pose_batch(self, arclens):
         """Vectorised ``pose``: returns (rho, theta, label_code) arrays."""
@@ -216,38 +210,25 @@ class NavigationPath:
             raise ValueError("arclen must be non-negative")
         idx = np.searchsorted(self._s0, s, side="right") - 1
         t = s - self._s0[idx]
-        p = self._params[idx]
-        types = self._types[idx]
-        rho = np.empty_like(s)
-        theta = np.empty_like(s)
-        line = types == _LINE
-        if line.any():
-            x = p[line, 0] + t[line] * p[line, 2]
-            y = p[line, 1] + t[line] * p[line, 3]
-            rho[line] = np.hypot(x, y)
-            theta[line] = np.arctan2(y, x) % TWO_PI
-        arc = types == _ARC
-        if arc.any():
-            psi = p[arc, 5] + self._orients[idx[arc]] * t[arc] / p[arc, 4]
-            x = p[arc, 0] + p[arc, 4] * np.cos(psi)
-            y = p[arc, 1] + p[arc, 4] * np.sin(psi)
-            rho[arc] = np.hypot(x, y)
-            theta[arc] = np.arctan2(y, x) % TWO_PI
-        circ = types == _CIRCLE
-        if circ.any():
-            rho[circ] = p[circ, 4]
-            theta[circ] = (p[circ, 5] + self._orients[idx[circ]] * t[circ] / p[circ, 4]) % TWO_PI
+        ax, ay, bx, by, radius, psi0, orient = self._cols[:, idx]
+        psi = psi0 + orient * t / radius
+        line = self._is_line[idx]
+        x = np.where(line, ax + t * bx, ax + radius * np.cos(psi))
+        y = np.where(line, ay + t * by, ay + radius * np.sin(psi))
+        circle = self._is_circle[idx]
+        rho = np.where(circle, radius, np.hypot(x, y))
+        theta = np.where(circle, psi, np.arctan2(y, x)) % TWO_PI
         return rho, theta, self._labels[idx]
 
     def heading(self, arclen):
         i = self._segment_index(arclen)
-        return self.segments[i].heading_at(arclen - float(self._s0[i])) % TWO_PI
+        return self.segments[i].heading_at(arclen - self._starts[i]) % TWO_PI
 
     def project(self, x, y):
         """Arclen of the path point nearest to (x, y); first minimum wins."""
         best_s, best_d2 = 0.0, math.inf
         for i, seg in enumerate(self.segments):
-            s0 = float(self._s0[i])
+            s0 = self._starts[i]
             if seg.type == _LINE:
                 t = (x - seg.ax) * seg.bx + (y - seg.ay) * seg.by
                 t = min(max(t, 0.0), seg.length)

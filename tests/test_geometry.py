@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import all_paths, boundary_arclens, reference_pose, reference_pose_batch
 from roundabout_sim.geometry import (
     Maneuver,
     PathKind,
@@ -177,6 +178,29 @@ class TestPose:
         rho1, theta1, label1 = path_pose(p, p.total_length + 25.0)
         assert label0 == label1 == Status.EXIT
         assert rho1 > rho0  # keeps receding along the exit lane
+
+    @pytest.mark.parametrize("ways", [3, 4])
+    def test_boundaries_match_reference(self, ways):
+        geom = build_roundabout(RoundaboutSpec(ways=ways))
+        for p in all_paths(geom):
+            for s in boundary_arclens(p) + [math.nextafter(0.0, math.inf)]:
+                got = p.pose(s)
+                assert got == reference_pose(p, s), (s, got)
+                assert type(got[2]) is Status
+            with pytest.raises(ValueError):
+                p.pose(math.nextafter(0.0, -math.inf))
+
+    @pytest.mark.parametrize("ways", [3, 4])
+    def test_batch_bit_identical_to_reference(self, ways):
+        geom = build_roundabout(RoundaboutSpec(ways=ways))
+        rng = np.random.default_rng(ways)
+        for p in all_paths(geom):
+            batches = [np.array(boundary_arclens(p))]
+            batches += [rng.uniform(0.0, p.total_length + 20.0, size=n) for n in (1, 2, 15, 400)]
+            for s in batches:
+                for got, want in zip(p.pose_batch(s), reference_pose_batch(p, s)):
+                    assert got.dtype == want.dtype
+                    assert np.array_equal(got, want), s
 
     @given(s=st.floats(0.0, 300.0), data=st.data())
     @settings(max_examples=60)
