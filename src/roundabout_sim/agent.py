@@ -13,10 +13,11 @@ Each vehicle runs the same loop every control step:
    radial trend) and an aggressiveness estimate, initialised to 0.5.  When a
    neighbour's observed position deviates from the position predicted for it
    at the previous step by more than ``eps_dev``, the estimator replays last
-   step's two-player game between itself and that neighbour once per
-   candidate weight and keeps the weight whose equilibrium first-stage
-   acceleration best explains the observed speed change; ties stick near the
-   previous estimate, then prefer the smaller weight.  The hypothesis path is
+   step's two-player game between itself and that neighbour under every
+   candidate weight (one batched solve over the rollouts frozen at decision
+   time) and keeps the weight whose equilibrium first-stage acceleration
+   best explains the observed speed change; ties stick near the previous
+   estimate, then prefer the smaller weight.  The hypothesis path is
    re-estimated at the same time.
 
 3. **Decide** by building the sequential game among the observed vehicles
@@ -91,12 +92,13 @@ class AgentParams:
 
 @dataclass(frozen=True)
 class ReplayInput:
-    """Rollout inputs for one player, frozen at decision time."""
+    """Rollout inputs for one player and their rollout, frozen at decision time."""
 
     path: NavigationPath
     arclen: float
     v: float
     status: Status
+    roll: Rollout
 
 
 @dataclass
@@ -208,13 +210,14 @@ def estimate_path(observed: Configuration, geometry: Geometry,
     return _nearest_entry(observed, geometry)
 
 
-def _rollout_cached(ri: ReplayInput, strategies, delta, diameter, cache) -> Rollout:
-    key = ("roll", id(ri.path), ri.arclen, ri.v, int(ri.status))
-    hit = cache.get(key)
-    if hit is None:
-        hit = rollout(ri.path, ri.arclen, ri.v, ri.status, strategies, delta, diameter)
-        cache[key] = hit
-    return hit
+def _replay_input(path, arclen, v, status, strategies, delta, diameter,
+                  cache) -> ReplayInput:
+    key = ("roll", id(path), arclen, v, int(status))
+    roll = cache.get(key)
+    if roll is None:
+        roll = rollout(path, arclen, v, status, strategies, delta, diameter)
+        cache[key] = roll
+    return ReplayInput(path, arclen, v, status, roll)
 
 
 def _project_cached(path, x, y, cache):
@@ -247,23 +250,21 @@ def decide(state: AgentState, obs: Mapping[int, Configuration], ego_path: Naviga
                else state.w_hat.get(vid, agent_params.initial_estimate)
                for vid in ids}
     strategies = game_params.strategies()
-    trajs, inputs = [], {}
+    inputs = {}
     for vid in ids:
         if vid == ego_id:
-            ri = ReplayInput(ego_path, ego.arclen, ego.v, ego.status)
+            start = (ego_path, ego.arclen, ego.v, ego.status)
         else:
             path = state.est_path.get(vid)
             if path is None:
                 path = estimate_path(obs[vid], geometry, eps_r=agent_params.eps_r)
                 state.est_path[vid] = path
             x, y = obs[vid].xy()
-            ri = ReplayInput(path, _project_cached(path, x, y, cache),
-                             obs[vid].v, obs[vid].status)
-        inputs[vid] = ri
-        trajs.append(_rollout_cached(ri, strategies, delta, diameter, cache))
+            start = (path, _project_cached(path, x, y, cache), obs[vid].v, obs[vid].status)
+        inputs[vid] = _replay_input(*start, strategies, delta, diameter, cache)
 
-    costs, _, _ = payoff_tensors(trajs, [weights[v] for v in ids], cost_params,
-                                 geometry.r_in)
+    costs, _, _ = payoff_tensors([inputs[v].roll for v in ids],
+                                 [weights[v] for v in ids], cost_params, geometry.r_in)
     axis_of = {vid: k for k, vid in enumerate(ids)}
     order = tuple(order_players(weights))
     prof, _ = tensor_equilibrium(costs, [axis_of[v] for v in order])
@@ -298,45 +299,42 @@ def decide(state: AgentState, obs: Mapping[int, Configuration], ego_path: Naviga
 
 
 def _reestimate(state: AgentState, j: int, obs_j: Configuration,
-                cost_params: CostParams, game_params: GameParams,
-                agent_params: AgentParams, delta: float, diameter: float,
-                cache: dict) -> float:
-    """Replay last step's two-player game per candidate weight; pick the best fit."""
+                cost_params: CostParams, agent_params: AgentParams,
+                delta: float) -> float:
+    """Replay last step's two-player game under every candidate weight; pick the best fit.
+
+    The games for all weights are solved as one batch.  The rollouts are the
+    ones frozen at decision time.
+    """
     ri_e, ri_j = state.ego_replay, state.replay[j]
-    strategies = game_params.strategies()
     ids = sorted((state.vid, j))
-    rolls = {state.vid: _rollout_cached(ri_e, strategies, delta, diameter, cache),
-             j: _rollout_cached(ri_j, strategies, delta, diameter, cache)}
-    trajs = [rolls[v] for v in ids]
-    _, safe, speed = payoff_tensors(trajs, [0.0, 0.0], cost_params, ri_e.path.r_in)
+    rolls = {state.vid: ri_e.roll, j: ri_j.roll}
+    _, safe, speed = payoff_tensors([rolls[v] for v in ids], [0.0, 0.0], cost_params,
+                                    ri_e.path.r_in)
     axis_of = {vid: k for k, vid in enumerate(ids)}
     order_axes = [axis_of[v] for v in order_players(
         {v: state.order_weights[v] for v in ids})]
+    grid = np.array(agent_params.w_grid, dtype=float)
+    w_ego = (np.full_like(grid, state.w_agg)
+             if agent_params.estimator_ego_uses_true_weight else grid)
+    costs = []
+    for k, vid in enumerate(ids):
+        wk = (w_ego if vid == state.vid else grid)[:, None, None]
+        costs.append((1.0 - wk) * safe[k] + wk * speed[k])
+    prof, _ = tensor_equilibrium(costs, order_axes)
     v_prev = ri_j.v
     a_obs = (obs_j.v - v_prev) / delta
+    v1 = rolls[j].v[prof[:, axis_of[j]], 1]
+    err = np.abs((v1 - v_prev) / delta - a_obs)
     prev_est = state.w_hat[j]
-    best = None
-    for w in agent_params.w_grid:
-        w_ego = state.w_agg if agent_params.estimator_ego_uses_true_weight else w
-        wt = {state.vid: w_ego, j: w}
-        costs = [(1.0 - wt[ids[k]]) * safe[k] + wt[ids[k]] * speed[k] for k in range(2)]
-        prof, _ = tensor_equilibrium(costs, order_axes)
-        v1 = float(rolls[j].v[prof[axis_of[j]], 1])
-        err = abs((v1 - v_prev) / delta - a_obs)
-        key = (err, abs(w - prev_est), w)
-        if best is None or key < best[0]:
-            best = (key, w)
-    return best[1]
+    return min(zip(err.tolist(), (abs(w - prev_est) for w in agent_params.w_grid),
+                   agent_params.w_grid))[2]
 
 
 def update_estimates(state: AgentState, obs: Mapping[int, Configuration],
                      geometry: Geometry, cost_params: CostParams,
-                     game_params: GameParams, agent_params: AgentParams,
-                     delta: float, cache: Optional[dict] = None,
-                     diameter: float = VEHICLE_DIAMETER) -> None:
+                     agent_params: AgentParams, delta: float) -> None:
     """Reconcile predictions with observations before deciding this step."""
-    if cache is None:
-        cache = {}
     ego_id = state.vid
     for vid in obs:
         if vid == ego_id:
@@ -355,8 +353,8 @@ def update_estimates(state: AgentState, obs: Mapping[int, Configuration],
         x, y = c.xy()
         if math.hypot(x - pred[0], y - pred[1]) > agent_params.eps_dev:
             if vid in state.replay and state.ego_replay is not None:
-                state.w_hat[vid] = _reestimate(state, vid, c, cost_params, game_params,
-                                               agent_params, delta, diameter, cache)
+                state.w_hat[vid] = _reestimate(state, vid, c, cost_params,
+                                               agent_params, delta)
             state.est_path[vid] = estimate_path(
                 c, geometry, prev=state.prev_obs.get(vid), eps_r=agent_params.eps_r)
     state.prev_obs = {vid: obs[vid] for vid in obs if vid != ego_id}

@@ -46,6 +46,10 @@ from .geometry import Geometry, Status, path_distance
 
 TWO_PI = 2.0 * math.pi
 
+# side windows on the ccw gap in [0, 2pi), front then back: [0, pi] and (0, pi)
+_WINDOW_LO = np.array([-np.inf, 0.0]).reshape(2, 1, 1, 1, 1, 1)
+_WINDOW_HI = np.array([math.pi, math.nextafter(math.pi, 0.0)]).reshape(2, 1, 1, 1, 1, 1)
+
 __all__ = [
     "CostParams",
     "beta",
@@ -195,24 +199,63 @@ def front_back(ego: Configuration, others: Mapping[int, Configuration],
 # --- strategy-space evaluation ---------------------------------------------
 
 
-def _pair_arrays(theta, rho, p, q, h, shape):
-    """ccw gaps p->q and q->p plus radial offset, broadcast into profile space.
+def _pair_sides(trajs, stat, params: CostParams, r_in: float):
+    """Front and back ``(candidate gap, side cost)`` for every ordered pair.
 
-    Both gaps are reduced from the raw angle difference independently (a
-    second mod of the negated first gap would round tiny gaps to zero).
+    Arrays are ``(2, K, K, S, S, h)``, indexed ``[side, p, q, i, j, t]``:
+    front (0) or back (1), ego ``p`` playing ``i``, other ``q`` playing
+    ``j``, stage ``t``.  A gap of ``inf`` marks a vehicle outside ego's window
+    on that side, whose cost is 0.  The back gap and distance from ``p`` to
+    ``q`` are the front ones from ``q`` to ``p``, a transpose: each gap is
+    still reduced from its own raw angle difference (a mod of the negated
+    front gap would round tiny gaps to zero).
     """
-    diff = theta[q][None, :, :] - theta[p][:, None, :]
-    fgap = diff % TWO_PI
-    bgap = (-diff) % TWO_PI
-    dr = np.abs(rho[p][:, None, :] - rho[q][None, :, :])
-    if p > q:
-        # reshape consumes buffer axes in order; put the lower axis first
-        fgap = np.swapaxes(fgap, 0, 1)
-        bgap = np.swapaxes(bgap, 0, 1)
-        dr = np.swapaxes(dr, 0, 1)
-    view = [1] * len(shape) + [h]
-    view[p], view[q] = shape[p], shape[q]
-    return fgap.reshape(view), bgap.reshape(view), dr.reshape(view)
+    theta = np.array([t.theta for t in trajs])
+    rho = np.array([t.rho for t in trajs])
+    fgap = (theta[None, :, None] - theta[:, None, :, None]) % TWO_PI
+    fd = np.hypot(r_in * fgap, np.abs(rho[:, None, :, None] - rho[None, :, None]))
+    swap = (1, 0, 3, 2, 4)
+    gap = np.array([fgap, fgap.transpose(swap)])
+    d = np.array([fd, fd.transpose(swap)])
+    ego, other = stat[:, None, :, None], stat[None, :, None]
+    alive = (ego != int(Status.EXIT)) & (other != int(Status.EXIT))
+    inside, enter = int(Status.INSIDE), int(Status.ENTER)
+    wall_thr = np.where((ego == enter) & (other == inside), params.D_en, params.D_c)
+    soft = (ego == inside) & (other == enter)
+
+    ok = alive & (d < params.D) & (gap > _WINDOW_LO) & (gap <= _WINDOW_HI)
+    quad = (params.D - d) ** 2
+    val = np.where(soft, params.C_ins * quad,
+                   params.C * quad + np.where(d <= wall_thr, params.E_inf, 0.0))
+    return np.where(ok, gap, np.inf), np.where(ok, val, 0.0)
+
+
+def _nearest_safe(gap, cost, wts: np.ndarray) -> list:
+    """Every player's discounted safety cost over the joint strategy space.
+
+    Takes ``_pair_sides`` output.  The nearest-by-angle neighbour per side is
+    a running strict minimum over the other players in ascending id order,
+    which keeps the first (lowest-id) tie like argmin.  All egos and both
+    sides run at once, in a ``(2, K) + (S,) * K + (h,)`` layout with ego's
+    strategy axis first and the others' in ascending id order, so each pair
+    block is a plain reshape; ego's axis moves into place after the
+    discounted sum.
+    """
+    _, K, _, S, _, h = gap.shape
+    ego = np.arange(K)
+    for r in range(K - 1):
+        other = r + (ego <= r)  # r-th other player of each ego
+        view = [2, K, S] + [1] * (K - 1) + [h]
+        view[3 + r] = S
+        g, c = gap[:, ego, other].reshape(view), cost[:, ego, other].reshape(view)
+        if r == 0:
+            best_gap, best_cost = g, c
+        else:
+            m = g < best_gap
+            best_gap, best_cost = np.where(m, g, best_gap), np.where(m, c, best_cost)
+    sums = (np.maximum(best_cost[0], best_cost[1]) * wts).sum(axis=-1)
+    return [sums[p].transpose(list(range(1, p + 1)) + [0] + list(range(p + 1, K)))
+            for p in range(K)]
 
 
 def payoff_tensors(trajs: Sequence, w: Sequence[float], params: CostParams,
@@ -221,99 +264,40 @@ def payoff_tensors(trajs: Sequence, w: Sequence[float], params: CostParams,
 
     ``trajs`` holds one rollout bundle per player *in ascending vehicle-id
     order* (neighbour ties resolve to the earlier bundle); each bundle has
-    ``theta/rho/v/status`` arrays of shape ``(S_k, h)``.  Stages where a
-    vehicle has exited contribute no pair terms, mirroring ``front_back``.
-    Returns ``(costs, safe, speed)``, three lists of ``(S_0, ..., S_{K-1})``
-    tensors, where ``costs[k] = (1-w[k])*safe[k] + w[k]*speed[k]``.
+    ``theta/rho/v/status`` arrays of shape ``(S, h)``.  All players share one
+    strategy alphabet, so ``S`` must be equal across bundles; otherwise
+    ``ValueError`` is raised.  Stages where a vehicle has exited contribute
+    no pair terms, mirroring ``front_back``.  Returns ``(costs, safe, speed)``,
+    three lists of ``(S,) * K`` tensors, where
+    ``costs[k] = (1-w[k])*safe[k] + w[k]*speed[k]``.
+
+    Gaps, distances, candidacy and side costs depend on the two members of
+    a pair only, so they are computed once for all ordered pairs in pair
+    space; only the nearest-neighbour selection runs in joint space.  The
+    speed term is one pass over all players.
     """
     K = len(trajs)
-    h = trajs[0].theta.shape[1]
-    shape = tuple(t.theta.shape[0] for t in trajs)
-    theta = [t.theta for t in trajs]
-    rho = [t.rho for t in trajs]
+    S, h = trajs[0].theta.shape
+    if any(t.theta.shape != (S, h) for t in trajs):
+        raise ValueError("players must share one strategy alphabet and horizon")
+    stat = np.array([t.status for t in trajs])
+    v = np.array([t.v for t in trajs])
     wts = horizon_weights(params.lam, h)
-    inside = int(Status.INSIDE)
-    enter = int(Status.ENTER)
-    exited = int(Status.EXIT)
+    shape = (S,) * K
+    safe_out = (_nearest_safe(*_pair_sides(trajs, stat, params, r_in), wts)
+                if K > 1 else [np.zeros(shape)])
 
-    stat_v, v_v = [], []
-    for k in range(K):
-        view = [1] * (K + 1)
-        view[k], view[-1] = shape[k], h
-        stat_v.append(trajs[k].status.reshape(view))
-        v_v.append(trajs[k].v.reshape(view))
+    dv2 = (params.v_l - v) ** 2
+    speed = np.where(v > params.v_l, params.C_o * dv2,
+                     np.where(stat == int(Status.ENTER), params.C_en * dv2,
+                              params.C_in * dv2))
+    speed_sums = (speed * wts).sum(axis=-1)
 
-    # Pair geometry is shared between the two orientations: the ccw gap a->b
-    # is the gap b->a measured the other way round.  Window-masked gap arrays
-    # (inf = not a candidate) are built once per unordered pair in the small
-    # (S_a, S_b, h) space; a stage where either member has exited carries no
-    # interaction.
-    pairs = {}
-    for a in range(K):
-        for b in range(a + 1, K):
-            fg, bg, dr = _pair_arrays(theta, rho, a, b, h, shape)
-            alive = (stat_v[a] != exited) & (stat_v[b] != exited)
-            d_fg = np.hypot(r_in * fg, dr)
-            d_bg = np.hypot(r_in * bg, dr)
-            fg_ok = alive & (d_fg < params.D)
-            bg_ok = alive & (d_bg < params.D)
-            pairs[a, b] = (
-                np.where(fg_ok & (fg <= math.pi), fg, np.inf),            # a front
-                np.where(bg_ok & (bg > 0.0) & (bg < math.pi), bg, np.inf),  # a back
-                np.where(bg_ok & (bg <= math.pi), bg, np.inf),            # b front
-                np.where(fg_ok & (fg > 0.0) & (fg < math.pi), fg, np.inf),  # b back
-                d_fg, d_bg,
-            )
-
-    safe_out, speed_out, cost_out = [], [], []
+    speed_out, cost_out = [], []
     for p in range(K):
-        est, ev = stat_v[p], v_v[p]
-        # nearest-by-angle neighbour per side: running strict minimum in
-        # ascending id order keeps the first (lowest-id) tie, like argmin
-        best = {"front": None, "back": None}
-        for q in range(K):
-            if q == p:
-                continue
-            a, b = (p, q) if p < q else (q, p)
-            f_a, b_a, f_b, b_b, d_fg, d_bg = pairs[a, b]
-            if p == a:
-                cand = {"front": (f_a, d_fg), "back": (b_a, d_bg)}
-            else:
-                cand = {"front": (f_b, d_bg), "back": (b_b, d_fg)}
-            for side, (gap, d) in cand.items():
-                cur = best[side]
-                if cur is None:
-                    best[side] = (gap, d, stat_v[q])
-                else:
-                    m = gap < cur[0]
-                    best[side] = (np.where(m, gap, cur[0]),
-                                  np.where(m, d, cur[1]),
-                                  np.where(m, stat_v[q], cur[2]))
-
-        est_enter = est == enter
-        est_inside = est == inside
-        sides = []
-        for side in ("front", "back"):
-            if best[side] is None:
-                sides.append(0.0)
-                continue
-            gap, d, st = best[side]
-            exists = np.isfinite(gap)
-            quad = (params.D - d) ** 2
-            wall_thr = np.where(est_enter & (st == inside), params.D_en, params.D_c)
-            val = np.where(est_inside & (st == enter),
-                           params.C_ins * quad,
-                           params.C * quad + np.where(d <= wall_thr, params.E_inf, 0.0))
-            sides.append(np.where(exists, val, 0.0))
-
-        safe = np.maximum(sides[0], sides[1])
-        dv2 = (params.v_l - ev) ** 2
-        speed = np.where(ev > params.v_l, params.C_o * dv2,
-                         np.where(est_enter, params.C_en * dv2, params.C_in * dv2))
-
-        safe_sum = np.broadcast_to((safe * wts).sum(axis=-1), shape)
-        speed_sum = np.broadcast_to((speed * wts).sum(axis=-1), shape)
-        safe_out.append(safe_sum)
+        view = [1] * K
+        view[p] = S
+        speed_sum = np.broadcast_to(speed_sums[p].reshape(view), shape)
         speed_out.append(speed_sum)
-        cost_out.append((1.0 - w[p]) * safe_sum + w[p] * speed_sum)
+        cost_out.append((1.0 - w[p]) * safe_out[p] + w[p] * speed_sum)
     return cost_out, safe_out, speed_out

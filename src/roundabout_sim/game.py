@@ -12,26 +12,24 @@ varies only the first stage — brake hard, brake, coast, accelerate, floor it
 — and coasts afterwards, which matches receding-horizon execution where only
 the first stage is ever applied.
 
-Two solvers are provided: ``solve`` walks the game tree lazily through a
-payoff callable (one evaluation per leaf), while ``tensor_equilibrium`` runs
-the same induction as vectorised argmin/gather passes over precomputed cost
-tensors with one axis per player.  They agree exactly on identical payoffs.
+``tensor_equilibrium`` runs the induction as vectorised argmin/gather passes
+over precomputed cost tensors with one axis per player.  It also solves a
+batch of games of one shape in one call, which is how the estimator replays a
+game under every candidate aggressiveness at once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 import numpy as np
 
 __all__ = [
     "DEFAULT_ACCELS",
     "GameParams",
-    "SequentialGame",
     "build_strategies",
     "order_players",
-    "solve",
     "tensor_equilibrium",
 ]
 
@@ -68,72 +66,44 @@ def order_players(weights: Mapping[int, float]) -> list:
     return sorted(weights, key=lambda vid: (-weights[vid], vid))
 
 
-@dataclass
-class SequentialGame:
-    """Game tree described by a leaf-payoff callable.
-
-    ``players`` lists ids in decision order; ``payoff`` maps a full strategy
-    profile (indices, decision order) to the per-player cost vector in the
-    same order.
-    """
-
-    players: Sequence[int]
-    n_strategies: Sequence[int]
-    payoff: Callable[[Tuple[int, ...]], Sequence[float]]
-    evaluations: int = field(default=0, init=False)
-
-    def __post_init__(self):
-        if len(self.players) != len(self.n_strategies):
-            raise ValueError("one strategy count per player required")
-
-
-def solve(game: SequentialGame):
-    """Backward-induction equilibrium by lazy depth-first search.
-
-    Evaluates the payoff callable exactly ``prod(n_strategies)`` times (once
-    per leaf).  Returns ``(profile, payoffs)`` with both in decision order.
-    Ties at any node keep the earliest strategy.
-    """
-    K = len(game.players)
-
-    def descend(prefix):
-        k = len(prefix)
-        if k == K:
-            game.evaluations += 1
-            return prefix, np.asarray(game.payoff(prefix), dtype=float)
-        best = None
-        for s in range(game.n_strategies[k]):
-            cand = descend(prefix + (s,))
-            if best is None or cand[1][k] < best[1][k]:
-                best = cand
-        return best
-
-    profile, payoffs = descend(())
-    return profile, payoffs
-
-
 def tensor_equilibrium(costs: Sequence[np.ndarray], order: Sequence[int]):
     """Backward induction over per-player cost tensors.
 
     ``costs[p]`` has one axis per player (axis ``p`` is player ``p``'s own
     strategy); ``order`` lists the player axes in decision order.  Returns
     ``(profile, payoffs)`` indexed by axis (player), not by decision order.
+
+    The tensors may carry one extra leading batch axis of length ``B``, each
+    slice an independent game; the result is then a ``(B, K)`` int array of
+    profiles and a ``(B, K)`` array of payoffs.
+
+    The earlier movers' tensors are stacked with their player axes permuted
+    into decision order, so each induction level is one ``argmin`` over the
+    last axis (the first minimum wins) and one flat gather of the rest.
     """
     K = len(costs)
     if sorted(order) != list(range(K)):
         raise ValueError("order must be a permutation of the player axes")
-    cur = list(costs)
-    chosen = {}
+    lead = [0] if np.ndim(costs[0]) == K + 1 else []
+    axes = lead + [len(lead) + a for a in order]
+    mover = costs[order[-1]].transpose(axes)
+    rest = np.array([costs[a].transpose(axes) for a in order[:-1]])
+    picks = {}
     for k in reversed(range(K)):
-        ax = order[k]
-        idx = np.argmin(cur[ax], axis=ax, keepdims=True)  # first minimum wins
-        chosen[ax] = idx
-        cur = [np.take_along_axis(c, idx, axis=ax) for c in cur]
-    profile = {}
-    for k in range(K):
-        ax = order[k]
-        at = tuple(profile.get(a, 0) for a in range(K))
-        profile[ax] = int(chosen[ax][at])
-    prof = tuple(profile[a] for a in range(K))
-    payoffs = np.array([float(costs[p][prof]) for p in range(K)])
-    return prof, payoffs
+        idx = mover.argmin(axis=-1)
+        picks[order[k]] = idx
+        if k:
+            n = mover.shape[-1]
+            flat = np.arange(0, idx.size * n, n) + idx.ravel()
+            gathered = rest.reshape(k, -1).take(flat, axis=1).reshape((k,) + idx.shape)
+            mover, rest = gathered[-1], gathered[:-1]
+    at = (np.arange(len(costs[0])),) if lead else ()
+    chosen = {}
+    for a in order:
+        chosen[a] = picks[a][at]
+        at += (chosen[a],)
+    if lead:
+        cols = [chosen[a] for a in range(K)]
+        return np.array(cols).T, np.array([c[(at[0], *cols)] for c in costs]).T
+    prof = tuple(int(chosen[a]) for a in range(K))
+    return prof, np.array([float(c[prof]) for c in costs])

@@ -188,7 +188,7 @@ class NavigationPath:
                                 s.psi0, s.orient) for s in self.segments]).T.copy()
 
     def _segment_index(self, arclen):
-        if arclen < 0.0:
+        if not arclen >= 0.0:  # also rejects NaN
             raise ValueError(f"arclen must be non-negative, got {arclen}")
         return bisect_right(self._starts, arclen) - 1
 
@@ -206,7 +206,7 @@ class NavigationPath:
     def pose_batch(self, arclens):
         """Vectorised ``pose``: returns (rho, theta, label_code) arrays."""
         s = np.asarray(arclens, dtype=float)
-        if np.any(s < 0.0):
+        if not np.all(s >= 0.0):  # also rejects NaN
             raise ValueError("arclen must be non-negative")
         idx = np.searchsorted(self._s0, s, side="right") - 1
         t = s - self._s0[idx]

@@ -208,8 +208,8 @@ def run_simulation(n_vehicles: int, seed: int, geometry: Geometry,
                 est_of[vid], override_of[vid], pred_of[vid] = {}, False, {}
                 continue
             obs = observe(vid, configs, geometry, cost_params)
-            update_estimates(agents[vid], obs, geometry, cost_params, game_params,
-                             agent_params, sim_params.delta, cache, diameter)
+            update_estimates(agents[vid], obs, geometry, cost_params, agent_params,
+                             sim_params.delta)
             d = decide(agents[vid], obs, live[vid].path, geometry,
                        cost_params, game_params, agent_params,
                        sim_params.delta, cache, diameter)

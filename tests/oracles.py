@@ -1,16 +1,24 @@
-"""Reference implementations that tests compare the production kinematics against.
+"""Reference implementations that tests compare the production hot paths against.
 
 Each oracle is the straightforward form of a hot path: a linear segment
 search for ``pose``, a per-segment-type masked evaluation for
-``pose_batch``, and a numpy stage loop with one ``pose_batch`` per stage for
-``rollout``.  The production code must agree with them bit for bit.
+``pose_batch``, a numpy stage loop with one ``pose_batch`` per stage for
+``rollout``, per-tensor gathers for ``tensor_equilibrium``, per-unordered-pair
+arrays broadcast into joint space for ``payoff_tensors``, and one
+equilibrium per candidate weight for the estimator.  The production code must
+agree with them bit for bit.  ``SequentialGame`` and ``solve`` walk the game
+tree through a payoff callable, an independent check of the tensor solver.
 """
 
 import math
+from dataclasses import dataclass, field
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
-from roundabout_sim.dynamics import VEHICLE_DIAMETER
+from roundabout_sim.cost import horizon_weights
+from roundabout_sim.dynamics import VEHICLE_DIAMETER, rollout
+from roundabout_sim.game import order_players
 from roundabout_sim.geometry import _ARC, _CIRCLE, _LINE, TWO_PI, Maneuver, PathKind, Status
 
 
@@ -121,3 +129,203 @@ def boundary_arclens(path):
     for s in segment_starts(path)[1:].tolist():
         out += [math.nextafter(s, -math.inf), s, math.nextafter(s, math.inf)]
     return out + [path.total_length, path.total_length + 7.5]
+
+
+@dataclass
+class SequentialGame:
+    """Game tree described by a leaf-payoff callable.
+
+    ``players`` lists ids in decision order; ``payoff`` maps a full strategy
+    profile (indices, decision order) to the per-player cost vector in the
+    same order.
+    """
+
+    players: Sequence[int]
+    n_strategies: Sequence[int]
+    payoff: Callable[[Tuple[int, ...]], Sequence[float]]
+    evaluations: int = field(default=0, init=False)
+
+    def __post_init__(self):
+        if len(self.players) != len(self.n_strategies):
+            raise ValueError("one strategy count per player required")
+
+
+def solve(game: SequentialGame):
+    """Backward-induction equilibrium by lazy depth-first search.
+
+    Evaluates the payoff callable exactly ``prod(n_strategies)`` times (once
+    per leaf).  Returns ``(profile, payoffs)`` with both in decision order.
+    Ties at any node keep the earliest strategy.
+    """
+    K = len(game.players)
+
+    def descend(prefix):
+        k = len(prefix)
+        if k == K:
+            game.evaluations += 1
+            return prefix, np.asarray(game.payoff(prefix), dtype=float)
+        best = None
+        for s in range(game.n_strategies[k]):
+            cand = descend(prefix + (s,))
+            if best is None or cand[1][k] < best[1][k]:
+                best = cand
+        return best
+
+    return descend(())
+
+
+def reference_tensor_equilibrium(costs, order):
+    """``tensor_equilibrium`` with one ``take_along_axis`` per tensor per level."""
+    K = len(costs)
+    if sorted(order) != list(range(K)):
+        raise ValueError("order must be a permutation of the player axes")
+    cur = list(costs)
+    chosen = {}
+    for k in reversed(range(K)):
+        ax = order[k]
+        idx = np.argmin(cur[ax], axis=ax, keepdims=True)  # first minimum wins
+        chosen[ax] = idx
+        cur = [np.take_along_axis(c, idx, axis=ax) for c in cur]
+    profile = {}
+    for k in range(K):
+        ax = order[k]
+        at = tuple(profile.get(a, 0) for a in range(K))
+        profile[ax] = int(chosen[ax][at])
+    prof = tuple(profile[a] for a in range(K))
+    payoffs = np.array([float(costs[p][prof]) for p in range(K)])
+    return prof, payoffs
+
+
+def _pair_arrays(theta, rho, p, q, h, shape):
+    """ccw gaps p->q and q->p plus radial offset, broadcast into profile space."""
+    diff = theta[q][None, :, :] - theta[p][:, None, :]
+    fgap = diff % TWO_PI
+    bgap = (-diff) % TWO_PI
+    dr = np.abs(rho[p][:, None, :] - rho[q][None, :, :])
+    if p > q:
+        # reshape consumes buffer axes in order; put the lower axis first
+        fgap = np.swapaxes(fgap, 0, 1)
+        bgap = np.swapaxes(bgap, 0, 1)
+        dr = np.swapaxes(dr, 0, 1)
+    view = [1] * len(shape) + [h]
+    view[p], view[q] = shape[p], shape[q]
+    return fgap.reshape(view), bgap.reshape(view), dr.reshape(view)
+
+
+def reference_payoff_tensors(trajs, w, params, r_in):
+    """``payoff_tensors`` from per-unordered-pair arrays and joint-space side costs."""
+    K = len(trajs)
+    h = trajs[0].theta.shape[1]
+    shape = tuple(t.theta.shape[0] for t in trajs)
+    theta = [t.theta for t in trajs]
+    rho = [t.rho for t in trajs]
+    wts = horizon_weights(params.lam, h)
+    inside = int(Status.INSIDE)
+    enter = int(Status.ENTER)
+    exited = int(Status.EXIT)
+
+    stat_v, v_v = [], []
+    for k in range(K):
+        view = [1] * (K + 1)
+        view[k], view[-1] = shape[k], h
+        stat_v.append(trajs[k].status.reshape(view))
+        v_v.append(trajs[k].v.reshape(view))
+
+    pairs = {}
+    for a in range(K):
+        for b in range(a + 1, K):
+            fg, bg, dr = _pair_arrays(theta, rho, a, b, h, shape)
+            alive = (stat_v[a] != exited) & (stat_v[b] != exited)
+            d_fg = np.hypot(r_in * fg, dr)
+            d_bg = np.hypot(r_in * bg, dr)
+            fg_ok = alive & (d_fg < params.D)
+            bg_ok = alive & (d_bg < params.D)
+            pairs[a, b] = (
+                np.where(fg_ok & (fg <= math.pi), fg, np.inf),            # a front
+                np.where(bg_ok & (bg > 0.0) & (bg < math.pi), bg, np.inf),  # a back
+                np.where(bg_ok & (bg <= math.pi), bg, np.inf),            # b front
+                np.where(fg_ok & (fg > 0.0) & (fg < math.pi), fg, np.inf),  # b back
+                d_fg, d_bg,
+            )
+
+    safe_out, speed_out, cost_out = [], [], []
+    for p in range(K):
+        est, ev = stat_v[p], v_v[p]
+        best = {"front": None, "back": None}
+        for q in range(K):
+            if q == p:
+                continue
+            a, b = (p, q) if p < q else (q, p)
+            f_a, b_a, f_b, b_b, d_fg, d_bg = pairs[a, b]
+            if p == a:
+                cand = {"front": (f_a, d_fg), "back": (b_a, d_bg)}
+            else:
+                cand = {"front": (f_b, d_bg), "back": (b_b, d_fg)}
+            for side, (gap, d) in cand.items():
+                cur = best[side]
+                if cur is None:
+                    best[side] = (gap, d, stat_v[q])
+                else:
+                    m = gap < cur[0]
+                    best[side] = (np.where(m, gap, cur[0]),
+                                  np.where(m, d, cur[1]),
+                                  np.where(m, stat_v[q], cur[2]))
+
+        est_enter = est == enter
+        est_inside = est == inside
+        sides = []
+        for side in ("front", "back"):
+            if best[side] is None:
+                sides.append(0.0)
+                continue
+            gap, d, st = best[side]
+            exists = np.isfinite(gap)
+            quad = (params.D - d) ** 2
+            wall_thr = np.where(est_enter & (st == inside), params.D_en, params.D_c)
+            val = np.where(est_inside & (st == enter),
+                           params.C_ins * quad,
+                           params.C * quad + np.where(d <= wall_thr, params.E_inf, 0.0))
+            sides.append(np.where(exists, val, 0.0))
+
+        safe = np.maximum(sides[0], sides[1])
+        dv2 = (params.v_l - ev) ** 2
+        speed = np.where(ev > params.v_l, params.C_o * dv2,
+                         np.where(est_enter, params.C_en * dv2, params.C_in * dv2))
+
+        safe_sum = np.broadcast_to((safe * wts).sum(axis=-1), shape)
+        speed_sum = np.broadcast_to((speed * wts).sum(axis=-1), shape)
+        safe_out.append(safe_sum)
+        speed_out.append(speed_sum)
+        cost_out.append((1.0 - w[p]) * safe_sum + w[p] * speed_sum)
+    return cost_out, safe_out, speed_out
+
+
+def reference_reestimate(state, j, obs_j, cost_params, game_params, agent_params,
+                         delta, diameter=VEHICLE_DIAMETER):
+    """The estimator's weight fit: fresh rollouts and one equilibrium per weight."""
+    ri_e, ri_j = state.ego_replay, state.replay[j]
+    strategies = game_params.strategies()
+    ids = sorted((state.vid, j))
+    rolls = {v: rollout(ri.path, ri.arclen, ri.v, ri.status, strategies, delta, diameter)
+             for v, ri in ((state.vid, ri_e), (j, ri_j))}
+    trajs = [rolls[v] for v in ids]
+    _, safe, speed = reference_payoff_tensors(trajs, [0.0, 0.0], cost_params,
+                                              ri_e.path.r_in)
+    axis_of = {vid: k for k, vid in enumerate(ids)}
+    order_axes = [axis_of[v] for v in order_players(
+        {v: state.order_weights[v] for v in ids})]
+    v_prev = ri_j.v
+    a_obs = (obs_j.v - v_prev) / delta
+    prev_est = state.w_hat[j]
+    best = None
+    for w in agent_params.w_grid:
+        w_ego = state.w_agg if agent_params.estimator_ego_uses_true_weight else w
+        wt = {state.vid: w_ego, j: w}
+        costs = [(1.0 - wt[ids[k]]) * safe[k] + wt[ids[k]] * speed[k] for k in range(2)]
+        prof, _ = reference_tensor_equilibrium(costs, order_axes)
+        v1 = float(rolls[j].v[prof[axis_of[j]], 1])
+        err = abs((v1 - v_prev) / delta - a_obs)
+        key = (err, abs(w - prev_est), w)
+        if best is None or key < best[0]:
+            best = (key, w)
+    return best[1]

@@ -150,7 +150,7 @@ def run_estimator_fixture(w_star, seed, steps=20):
         accel = {}
         for vid, state in ((0, obs_state), (1, act_state)):
             obs = observe(vid, cfgs, g, P)
-            update_estimates(state, obs, g, P, GP, AP, DELTA)
+            update_estimates(state, obs, g, P, AP, DELTA)
             accel[vid] = decide(state, obs, circle, g, P, GP, AP, DELTA).accel
         for vid in (0, 1):
             cfgs[vid] = step(cfgs[vid], accel[vid], DELTA, circle, DIAMETER)

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from oracles import reference_reestimate
+from roundabout_sim import agent
 from roundabout_sim.agent import (
     AgentParams,
     AgentState,
@@ -23,6 +25,7 @@ from roundabout_sim.geometry import (
     Status,
     build_roundabout,
 )
+from roundabout_sim.sim import SimParams, run_simulation
 
 P = CostParams()
 GP = GameParams()
@@ -124,7 +127,7 @@ class TestUpdateEstimates:
     def test_new_neighbour_initialised(self, geom):
         state = fresh_state(vid=0)
         obs = {0: on_circle(0.0, arclen=10.0), 1: on_circle(0.3)}
-        update_estimates(state, obs, geom, P, GP, AP, DELTA)
+        update_estimates(state, obs, geom, P, AP, DELTA)
         assert state.w_hat == {1: 0.5}
         assert 1 in state.est_path
         assert state.prev_obs == {1: obs[1]}
@@ -132,22 +135,68 @@ class TestUpdateEstimates:
     def test_estimate_kept_while_prediction_holds(self, geom):
         state = fresh_state(vid=0)
         obs = {0: on_circle(0.0, arclen=10.0), 1: on_circle(0.3)}
-        update_estimates(state, obs, geom, P, GP, AP, DELTA)
+        update_estimates(state, obs, geom, P, AP, DELTA)
         # pretend last step predicted exactly where the neighbour now is
         state.pred_xy[1] = obs[1].xy()
-        update_estimates(state, obs, geom, P, GP, AP, DELTA)
+        update_estimates(state, obs, geom, P, AP, DELTA)
         assert state.w_hat[1] == 0.5
 
     def test_deviation_triggers_reestimate_onto_grid(self, geom):
         state = fresh_state(vid=0)
         circle = geom.circle_hypothesis()
         obs0 = {0: on_circle(0.0, arclen=0.0), 1: on_circle(0.5, v=4.0)}
-        update_estimates(state, obs0, geom, P, GP, AP, DELTA)
+        update_estimates(state, obs0, geom, P, AP, DELTA)
         decide(state, obs0, circle, geom, P, GP, AP, DELTA)
         # neighbour shows up somewhere else entirely, moving faster
         obs1 = {0: on_circle(0.05, arclen=1.0), 1: on_circle(0.8, v=9.0)}
-        update_estimates(state, obs1, geom, P, GP, AP, DELTA)
+        update_estimates(state, obs1, geom, P, AP, DELTA)
         assert state.w_hat[1] in AP.w_grid
+
+
+class TestReestimateOracle:
+    """One batched solve per re-estimation picks the weight the 9-solve loop picks."""
+
+    @pytest.mark.parametrize("true_weight", [False, True])
+    def test_replayed_two_player_games(self, geom, true_weight):
+        ap = AgentParams(estimator_ego_uses_true_weight=true_weight)
+        rng = np.random.default_rng(int(true_weight))
+        circle = geom.circle_hypothesis()
+        picked = set()
+        for trial in range(60):
+            ego_id, j = (0, 1) if trial % 2 else (5, 2)
+            state = fresh_state(vid=ego_id, w=float(rng.choice([0.2, 0.5, 0.8])))
+            state.w_hat[j] = float(rng.choice(ap.w_grid))
+            ego_s = float(rng.uniform(0.0, 100.0))
+            obs = {ego_id: on_circle(ego_s / geom.r_in, v=float(rng.uniform(0.0, 12.0)),
+                                     arclen=ego_s),
+                   j: on_circle(ego_s / geom.r_in + float(rng.uniform(-0.8, 0.8)),
+                                v=float(rng.uniform(0.0, 12.0)))}
+            decide(state, obs, circle, geom, P, GP, ap, DELTA)
+            seen = obs[j]
+            for v_now in (0.0, seen.v - 2.5, seen.v, seen.v + 0.5, seen.v + 7.5):
+                now = on_circle(seen.theta, v=max(v_now, 0.0))
+                got = agent._reestimate(state, j, now, P, ap, DELTA)
+                assert got == reference_reestimate(state, j, now, P, GP, ap, DELTA)
+                picked.add(got)
+        assert len(picked) > 1
+
+    @pytest.mark.parametrize("true_weight", [False, True])
+    def test_every_reestimate_of_a_run(self, geom, monkeypatch, true_weight):
+        ap = AgentParams(estimator_ego_uses_true_weight=true_weight)
+        sp = SimParams()
+        batched = agent._reestimate
+        calls = []
+
+        def checked(state, j, obs_j, cost_params, agent_params, delta):
+            got = batched(state, j, obs_j, cost_params, agent_params, delta)
+            assert got == reference_reestimate(state, j, obs_j, cost_params, GP,
+                                               agent_params, delta, sp.vehicle_diameter)
+            calls.append(got)
+            return got
+
+        monkeypatch.setattr(agent, "_reestimate", checked)
+        run_simulation(6, 11, geom, P, GP, ap, sp)
+        assert len(calls) > 10
 
 
 class TestDecide:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import reference_payoff_tensors
 from roundabout_sim.cost import (
     CostParams,
     beta,
@@ -20,7 +21,7 @@ from roundabout_sim.cost import (
     phi_speed,
     step_cost,
 )
-from roundabout_sim.dynamics import Configuration, rollout, step
+from roundabout_sim.dynamics import Configuration, Rollout, rollout, step
 from roundabout_sim.game import build_strategies
 from roundabout_sim.geometry import Maneuver, PathKind, RoundaboutSpec, Status, build_roundabout
 
@@ -252,3 +253,99 @@ class TestRolloutCoherence:
                 assert R.status[i, tau] == int(c.status)
                 assert R.theta[i, tau] == pytest.approx(c.theta, abs=1e-12)
                 assert R.rho[i, tau] == pytest.approx(c.r, rel=1e-12)
+
+
+def rollout_pool(geom, horizon, delta=0.25):
+    """Rollouts on circle, entry and exit hypotheses, several with EXIT stages."""
+    strategies = build_strategies(horizon=horizon)
+    thr = geom.r_in + 4.5
+    lap = 2 * math.pi * geom.r_in
+    starts = []
+    circle = geom.circle_hypothesis()
+    starts += [(circle, s0, v0) for s0 in (0.0, 3.0, 9.5, 20.0, lap - 1.0)
+               for v0 in (0.0, 6.0, 11.5)]
+    for arm in range(geom.spec.ways):
+        entry = geom.entry_hypothesis(PathKind(list(Maneuver)[arm % 3], arm))
+        starts += [(entry, s0, v0) for s0 in (0.0, 12.0, 25.0, 40.0) for v0 in (2.0, 9.0)]
+        exit_ = geom.exit_hypothesis(arm)
+        starts += [(exit_, s0, v0) for s0 in (lap - 6.0, lap + 2.0, lap + 8.0, lap + 25.0)
+                   for v0 in (4.0, 13.0)]
+    pool = []
+    for path, s0, v0 in starts:
+        rho0, _, label = path.pose(s0)
+        st0 = Status.ENTER if label == Status.ENTER else (
+            Status.EXIT if label == Status.EXIT and rho0 > thr else Status.INSIDE)
+        pool.append(rollout(path, s0, v0, st0, strategies, delta))
+    return pool
+
+
+class TestPayoffTensorsBitIdentity:
+    """Pair-space costs equal the per-pair joint-space reference bit for bit."""
+
+    @staticmethod
+    def assert_same(trajs, w, params, r_in):
+        got = payoff_tensors(trajs, w, params, r_in)
+        want = reference_payoff_tensors(trajs, w, params, r_in)
+        for g, r in zip(got, want):
+            assert len(g) == len(r) == len(trajs)
+            for a, b in zip(g, r):
+                assert a.shape == b.shape
+                assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("horizon", [4, 9])
+    def test_random_games(self, geom, horizon):
+        pool = rollout_pool(geom, horizon)
+        codes = np.concatenate([t.status.ravel() for t in pool])
+        assert {int(s) for s in Status} <= set(codes.tolist())
+        rng = np.random.default_rng(horizon)
+        params = CostParams()
+        for K in (1, 2, 3, 4):
+            for _ in range(60):
+                picks = rng.integers(0, len(pool), size=K)
+                if K > 1 and rng.random() < 0.3:
+                    picks[-1] = picks[0]  # coincident vehicles: gap exactly 0
+                w = rng.choice([0.0, 0.1, 0.5, 0.9, 1.0], size=K).tolist()
+                self.assert_same([pool[i] for i in picks], w, params, geom.r_in)
+
+    def test_ring_neighbourhoods(self, geom):
+        # dense same-path traffic: every window, range and wall branch fires
+        strategies = build_strategies(horizon=4)
+        circle = geom.circle_hypothesis()
+        entry = geom.entry_hypothesis(PathKind(Maneuver.GO_STRAIGHT, 0))
+        params = CostParams()
+        for offsets in [(0.0, 0.0), (0.0, 4.0, 8.0), (0.0, 5.9, 6.0, 6.1),
+                        (0.0, 30.0, 60.0, 90.0), (0.0, 0.0, 3.0, 3.0)]:
+            for path in (circle, entry):
+                trajs = [rollout(path, 10.0 + o, 7.0, path.pose(10.0 + o)[2], strategies, 0.25)
+                         for o in offsets]
+                self.assert_same(trajs, [0.5] * len(trajs), params, geom.r_in)
+
+    @pytest.mark.parametrize("horizon", [4, 9])
+    def test_exact_ties_and_window_edges(self, geom, horizon):
+        # states drawn from small sets: equal gaps to different neighbours,
+        # gaps of exactly 0 and pi, and every status pair; a gap of pi is
+        # within range D only on a small ring
+        rng = np.random.default_rng(100 + horizon)
+        angles = np.array([0.0, 0.3, 0.6, math.pi, 2 * math.pi - 0.3])
+        radii = np.array([geom.r_in, geom.r_in + 4.0, geom.r_in + 10.0])
+        params = CostParams()
+
+        def bundle():
+            shape = (5, horizon)
+            return Rollout(theta=rng.choice(angles, size=shape), rho=rng.choice(radii, size=shape),
+                           v=rng.choice([0.0, 5.0, 11.0, 14.0], size=shape),
+                           status=rng.integers(0, 3, size=shape).astype(np.int8),
+                           arclen=np.zeros(shape))
+
+        for r_in in (geom.r_in, 5.0):
+            for K in (2, 3, 4):
+                for _ in range(25):
+                    self.assert_same([bundle() for _ in range(K)], [0.5] * K, params, r_in)
+
+    def test_unequal_alphabets_rejected(self, geom):
+        circle = geom.circle_hypothesis()
+        a = rollout(circle, 0.0, 5.0, Status.INSIDE, build_strategies(horizon=4), 0.25)
+        b = rollout(circle, 9.0, 5.0, Status.INSIDE,
+                    build_strategies((-10.0, 0.0, 10.0), horizon=4), 0.25)
+        with pytest.raises(ValueError):
+            payoff_tensors([a, b], [0.5, 0.5], CostParams(), geom.r_in)

@@ -7,13 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import SequentialGame, reference_tensor_equilibrium, solve
 from roundabout_sim.game import (
     DEFAULT_ACCELS,
     GameParams,
-    SequentialGame,
     build_strategies,
     order_players,
-    solve,
     tensor_equilibrium,
 )
 
@@ -95,6 +94,48 @@ class TestDeterminism:
         c = [np.zeros((2, 2))] * 2
         with pytest.raises(ValueError):
             tensor_equilibrium(c, order=[0, 0])
+
+
+class TestReferenceBitIdentity:
+    """Stacked induction equals per-tensor gathers exactly, ties included."""
+
+    @pytest.mark.parametrize("K", [1, 2, 3, 4])
+    def test_every_order_with_ties(self, K):
+        rng = np.random.default_rng(K)
+        for trial in range(40):
+            sizes = [5] * K if trial % 2 else rng.integers(1, 5, size=K).tolist()
+            costs = [rng.integers(0, 3, size=sizes).astype(float) for _ in range(K)]
+            for order in itertools.permutations(range(K)):
+                prof, pay = tensor_equilibrium(costs, list(order))
+                want_prof, want_pay = reference_tensor_equilibrium(costs, list(order))
+                assert prof == want_prof
+                assert type(prof[0]) is int
+                assert np.array_equal(pay, want_pay)
+
+    @pytest.mark.parametrize("K", [1, 2, 3, 4])
+    def test_batch_equals_slices(self, K):
+        rng = np.random.default_rng(10 + K)
+        for B in (1, 9):
+            costs = [rng.integers(0, 3, size=(B,) + (4,) * K).astype(float)
+                     for _ in range(K)]
+            order = rng.permutation(K).tolist()
+            prof, pay = tensor_equilibrium(costs, order)
+            assert prof.shape == pay.shape == (B, K)
+            for b in range(B):
+                want_prof, want_pay = reference_tensor_equilibrium([c[b] for c in costs], order)
+                assert tuple(prof[b].tolist()) == want_prof
+                assert np.array_equal(pay[b], want_pay)
+
+    def test_broadcast_views_accepted(self):
+        # payoff_tensors hands over read-only broadcast views
+        rng = np.random.default_rng(3)
+        base = [rng.integers(0, 3, size=(4, 1)).astype(float),
+                rng.integers(0, 3, size=(1, 4)).astype(float)]
+        costs = [np.broadcast_to(c, (4, 4)) for c in base]
+        for order in ([0, 1], [1, 0]):
+            got = tensor_equilibrium(costs, order)
+            want = reference_tensor_equilibrium(costs, order)
+            assert got[0] == want[0] and np.array_equal(got[1], want[1])
 
 
 class TestSolverAgreement:

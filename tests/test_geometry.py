@@ -172,6 +172,17 @@ class TestPose:
         with pytest.raises(ValueError):
             path_pose(p, -0.1)
 
+    @pytest.mark.parametrize("ways", [3, 4])
+    def test_nan_arclen_rejected(self, ways):
+        geom = build_roundabout(RoundaboutSpec(ways=ways))
+        for p in all_paths(geom):
+            with pytest.raises(ValueError):
+                p.pose(math.nan)
+            with pytest.raises(ValueError):
+                p.pose_batch([1.0, math.nan])
+            with pytest.raises(ValueError):
+                p.pose_batch(np.array([math.nan]))
+
     def test_extrapolates_past_end(self, geom):
         p = build_path(geom, PathKind(Maneuver.TURN_RIGHT, 0))
         rho0, theta0, label0 = path_pose(p, p.total_length)
