@@ -13,6 +13,7 @@ import os
 import sys
 
 from roundabout_sim.cli import summarize, write_summary_csv, write_summary_json
+from roundabout_sim.dynamics import VEHICLE_DIAMETER
 
 
 def main(argv=None):
@@ -20,7 +21,7 @@ def main(argv=None):
     parser.add_argument("traces", help="traces/ directory of a campaign")
     parser.add_argument("--out", metavar="DIR",
                         help="also write summary.csv / summary.json here")
-    parser.add_argument("--diameter", type=float, default=4.5,
+    parser.add_argument("--diameter", type=float, default=VEHICLE_DIAMETER,
                         help="collision diameter used for re-detection [m]")
     args = parser.parse_args(argv)
 

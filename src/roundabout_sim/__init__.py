@@ -11,10 +11,8 @@ from .geometry import (
     Status,
     build_path,
     build_roundabout,
-    path_distance,
-    path_pose,
 )
-from .dynamics import Configuration, step, update_status
+from .dynamics import Configuration, step
 
 __all__ = [
     "Geometry",
@@ -25,10 +23,7 @@ __all__ = [
     "Status",
     "build_path",
     "build_roundabout",
-    "path_distance",
-    "path_pose",
     "Configuration",
     "step",
-    "update_status",
     "__version__",
 ]

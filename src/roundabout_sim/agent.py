@@ -210,12 +210,12 @@ def estimate_path(observed: Configuration, geometry: Geometry,
     return _nearest_entry(observed, geometry)
 
 
-def _replay_input(path, arclen, v, status, strategies, delta, diameter,
+def _replay_input(path, arclen, v, status, accels, horizon, delta, diameter,
                   cache) -> ReplayInput:
     key = ("roll", id(path), arclen, v, int(status))
     roll = cache.get(key)
     if roll is None:
-        roll = rollout(path, arclen, v, status, strategies, delta, diameter)
+        roll = rollout(path, arclen, v, status, accels, horizon, delta, diameter)
         cache[key] = roll
     return ReplayInput(path, arclen, v, status, roll)
 
@@ -249,7 +249,7 @@ def decide(state: AgentState, obs: Mapping[int, Configuration], ego_path: Naviga
     weights = {vid: state.w_agg if vid == ego_id
                else state.w_hat.get(vid, agent_params.initial_estimate)
                for vid in ids}
-    strategies = game_params.strategies()
+    accels, horizon = game_params.strategy_accels, game_params.horizon
     inputs = {}
     for vid in ids:
         if vid == ego_id:
@@ -261,7 +261,7 @@ def decide(state: AgentState, obs: Mapping[int, Configuration], ego_path: Naviga
                 state.est_path[vid] = path
             x, y = obs[vid].xy()
             start = (path, _project_cached(path, x, y, cache), obs[vid].v, obs[vid].status)
-        inputs[vid] = _replay_input(*start, strategies, delta, diameter, cache)
+        inputs[vid] = _replay_input(*start, accels, horizon, delta, diameter, cache)
 
     costs, _, _ = payoff_tensors([inputs[v].roll for v in ids],
                                  [weights[v] for v in ids], cost_params, geometry.r_in)
@@ -269,7 +269,7 @@ def decide(state: AgentState, obs: Mapping[int, Configuration], ego_path: Naviga
     order = tuple(order_players(weights))
     prof, _ = tensor_equilibrium(costs, [axis_of[v] for v in order])
     profile = {vid: prof[axis_of[vid]] for vid in ids}
-    accel = float(strategies[profile[ego_id], 0])
+    accel = float(accels[profile[ego_id]])
 
     override = False
     if all(obs[v].v < agent_params.deadlock_speed_eps for v in obs):
@@ -292,7 +292,7 @@ def decide(state: AgentState, obs: Mapping[int, Configuration], ego_path: Naviga
         rho0, theta0, _ = ri.path.pose(ri.arclen)
         bound = Configuration(r=rho0, theta=theta0, v=ri.v, status=ri.status,
                               arclen=ri.arclen)
-        nxt = step(bound, float(strategies[profile[vid], 0]), delta, ri.path, diameter)
+        nxt = step(bound, float(accels[profile[vid]]), delta, ri.path, diameter)
         state.pred_xy[vid] = nxt.xy()
     return DecisionResult(accel=accel, override=override, profile=profile,
                           order=order, weights=weights)

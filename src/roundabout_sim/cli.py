@@ -41,8 +41,9 @@ import numpy as np
 from . import __version__
 from .config import (ConfigError, ExperimentConfig, load_config, parse_config,
                      resolved_campaign)
+from .dynamics import VEHICLE_DIAMETER
 from .geometry import build_roundabout
-from .sim import RunResult, run_simulation
+from .sim import RunResult, min_pairwise, run_simulation
 
 TRACE_COLUMNS = ("t", "id", "r", "theta", "v", "status", "accel",
                  "est_agg_of_each_neighbour", "override_flag")
@@ -161,7 +162,7 @@ class TraceFormatError(ValueError):
     pass
 
 
-def trace_stats(path: str, diameter: float = 4.5) -> RunStats:
+def trace_stats(path: str, diameter: float = VEHICLE_DIAMETER) -> RunStats:
     """Recompute one run's stats from its trace file alone.
 
     Mirrors the simulator's bookkeeping: minimum distance is taken over
@@ -210,13 +211,9 @@ def trace_stats(path: str, diameter: float = 4.5) -> RunStats:
     min_distance = math.inf
     collided = False
     for t in sorted(by_t):
-        pts = [(r * math.cos(th), r * math.sin(th))
-               for _, r, th, status in sorted(by_t[t]) if status != "exit"]
-        for a in range(len(pts)):
-            for b in range(a + 1, len(pts)):
-                d = math.hypot(pts[a][0] - pts[b][0], pts[a][1] - pts[b][1])
-                if d < min_distance:
-                    min_distance = d
+        dmin, _ = min_pairwise([(r, th) for _, r, th, status in sorted(by_t[t])
+                                if status != "exit"])
+        min_distance = min(min_distance, dmin)
         if min_distance < diameter:
             collided = True
             break
@@ -417,7 +414,7 @@ def run_campaign(config: ExperimentConfig, out_dir: str, *,
     return report, errors
 
 
-def summarize(trace_root: str, diameter: float = 4.5) -> SummaryReport:
+def summarize(trace_root: str, diameter: float = VEHICLE_DIAMETER) -> SummaryReport:
     """Recompute a :class:`SummaryReport` from a directory of traces.
 
     ``trace_root`` is the ``traces/`` directory written by a campaign

@@ -34,6 +34,7 @@ then 42.  Run *i* of a row uses ``base_seed + i``.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import re
 from dataclasses import dataclass, field
@@ -75,13 +76,8 @@ class ExperimentConfig:
     traces: bool = False
 
 
-def _float(s: str) -> float:
-    return float(s)
-
-
 def _int(s: str) -> int:
-    v = int(s, 10)
-    return v
+    return int(s, 10)
 
 
 def _bool(s: str) -> bool:
@@ -100,57 +96,25 @@ def _float_tuple(s: str) -> Tuple[float, ...]:
     return tuple(float(p) for p in parts)
 
 
+# converter per field annotation (annotations are postponed, so strings)
+_CONVERTERS = {"int": _int, "float": float, "bool": _bool, "tuple": _float_tuple}
+_RENAMED = {"lam": "lambda"}  # field -> config key, where they differ
+
+
+def _section(cls) -> Dict[str, tuple]:
+    """Config key -> (dataclass field, converter) for every field of ``cls``."""
+    return {_RENAMED.get(f.name, f.name): (f.name, _CONVERTERS[f.type])
+            for f in dataclasses.fields(cls)}
+
+
 # section -> config key -> (dataclass field, converter)
 _SECTIONS: Dict[str, Dict[str, tuple]] = {
-    "geometry": {
-        "ways": ("ways", _int),
-        "r_in": ("r_in", _float),
-        "r_en": ("r_en", _float),
-        "approach_len": ("approach_len", _float),
-        "theta1": ("theta1", _float),
-        "theta2": ("theta2", _float),
-        "theta3": ("theta3", _float),
-        "entrance_angles": ("entrance_angles", _float_tuple),
-    },
-    "cost": {
-        "lambda": ("lam", _float),
-        "E_inf": ("E_inf", _float),
-        "C": ("C", _float),
-        "C_ins": ("C_ins", _float),
-        "C_en": ("C_en", _float),
-        "C_in": ("C_in", _float),
-        "C_o": ("C_o", _float),
-        "D": ("D", _float),
-        "D_en": ("D_en", _float),
-        "D_c": ("D_c", _float),
-        "v_l": ("v_l", _float),
-    },
-    "game": {
-        "horizon": ("horizon", _int),
-        "strategy_accels": ("strategy_accels", _float_tuple),
-    },
-    "agent": {
-        "w_grid": ("w_grid", _float_tuple),
-        "initial_estimate": ("initial_estimate", _float),
-        "eps_dev": ("eps_dev", _float),
-        "eps_r": ("eps_r", _float),
-        "deadlock_prob": ("deadlock_prob", _float),
-        "deadlock_accel": ("deadlock_accel", _float),
-        "deadlock_speed_eps": ("deadlock_speed_eps", _float),
-        "estimator_ego_uses_true_weight": ("estimator_ego_uses_true_weight", _bool),
-        "player_cap": ("player_cap", _int),
-    },
-    "sim": {
-        "delta": ("delta", _float),
-        "max_steps": ("max_steps", _int),
-        "spawn_spacing": ("spawn_spacing", _float),
-        "removal_margin": ("removal_margin", _float),
-        "vehicle_diameter": ("vehicle_diameter", _float),
-    },
-    "output": {
-        "out": ("out", str),
-        "traces": ("traces", _bool),
-    },
+    "geometry": _section(RoundaboutSpec),
+    "cost": _section(CostParams),
+    "game": _section(GameParams),
+    "agent": _section(AgentParams),
+    "sim": _section(SimParams),
+    "output": {"out": ("out", str), "traces": ("traces", _bool)},
 }
 
 _TOP_LEVEL = ("campaign", "seed")

@@ -3,17 +3,17 @@
 The per-step cost of a vehicle is a convex combination, weighted by its
 aggressiveness ``w``, of a safety term and a speed term:
 
-    phi = (1 - w) * phi_safe + w * phi_speed.
+    cost = (1 - w) * safe + w * speed.
 
-``phi_safe`` is the worse of a front-vehicle and a back-vehicle penalty; both
-grow quadratically as the gap ``d`` closes on the interaction range ``D`` and
-jump to an effectively infinite wall ``E_inf`` when the gap drops below a
-context-dependent comfort threshold (``D_en`` when merging into circulating
-traffic, the following distance ``D_c`` otherwise).  A circulating vehicle
-discounts queued entering traffic with the softer coefficient ``C_ins``.
-``phi_speed`` penalises deviation from the reference speed ``v_l``,
-overspeeding much harder than dawdling, with creeping punished more inside
-the roundabout than on approach/exit lanes.
+The safety term is the worse of a front-vehicle and a back-vehicle penalty;
+both grow quadratically as the gap ``d`` closes on the interaction range
+``D`` and jump to an effectively infinite wall ``E_inf`` when the gap drops
+below a context-dependent comfort threshold (``D_en`` when merging into
+circulating traffic, the following distance ``D_c`` otherwise).  A
+circulating vehicle discounts queued entering traffic with the softer
+coefficient ``C_ins``.  The speed term penalises deviation from the
+reference speed ``v_l``, overspeeding much harder than dawdling, with
+creeping punished more inside the roundabout than on approach/exit lanes.
 
 Pair gaps combine the counter-clockwise driving-circle arc between the two
 position angles with the radial offset:
@@ -28,21 +28,22 @@ gap splits between both components: a comfort wall at ``D_c`` then still
 guarantees roughly ``D_c`` of true clearance, whereas a summed gap of ``D_c``
 can shrink to ``D_c / sqrt(2)`` of actual separation.
 
-The module also evaluates these costs over whole strategy spaces at once:
-``payoff_tensors`` turns per-player rollout bundles into discounted-cost
-tensors with one axis per player, which the game solver consumes directly.
+``payoff_tensors`` evaluates these costs over whole strategy spaces at once:
+it turns per-player rollout bundles into discounted-cost tensors with one
+axis per player, which the game solver consumes directly.  The scalar
+per-vehicle forms of the same terms live in ``tests/oracles.py`` as the
+independent reference the tensors are checked against.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
-from .dynamics import Configuration
-from .geometry import Geometry, Status, path_distance
+from .geometry import Status
 
 TWO_PI = 2.0 * math.pi
 
@@ -50,19 +51,7 @@ TWO_PI = 2.0 * math.pi
 _WINDOW_LO = np.array([-np.inf, 0.0]).reshape(2, 1, 1, 1, 1, 1)
 _WINDOW_HI = np.array([math.pi, math.nextafter(math.pi, 0.0)]).reshape(2, 1, 1, 1, 1, 1)
 
-__all__ = [
-    "CostParams",
-    "beta",
-    "phi_front",
-    "phi_back",
-    "phi_safe",
-    "phi_speed",
-    "step_cost",
-    "horizon_weights",
-    "pair_distance",
-    "front_back",
-    "payoff_tensors",
-]
+__all__ = ["CostParams", "horizon_weights", "payoff_tensors"]
 
 
 @dataclass(frozen=True)
@@ -95,108 +84,9 @@ class CostParams:
             raise ValueError("overspeed coefficient C_o must dominate C_in and C_en")
 
 
-def beta(d: float, threshold: float, params: CostParams) -> float:
-    """Hard comfort wall: prohibitive once the gap is at or below threshold."""
-    return params.E_inf if d <= threshold else 0.0
-
-
-def _phi_pair(ego_status: Status, other_status: Status, d: float, params: CostParams) -> float:
-    q = (params.D - d) ** 2
-    if ego_status == Status.INSIDE and other_status == Status.ENTER:
-        return params.C_ins * q
-    if ego_status == Status.ENTER and other_status == Status.INSIDE:
-        return params.C * q + beta(d, params.D_en, params)
-    return params.C * q + beta(d, params.D_c, params)
-
-
-def phi_front(ego_status: Status, front_status: Optional[Status], d: Optional[float],
-              params: CostParams) -> float:
-    """Proximity cost toward the front neighbour; zero when there is none."""
-    if front_status is None or d is None:
-        return 0.0
-    return _phi_pair(ego_status, front_status, d, params)
-
-
-def phi_back(ego_status: Status, back_status: Optional[Status], d: Optional[float],
-             params: CostParams) -> float:
-    """Proximity cost toward the back neighbour; zero when there is none."""
-    if back_status is None or d is None:
-        return 0.0
-    return _phi_pair(ego_status, back_status, d, params)
-
-
-def phi_safe(front_cost: float, back_cost: float) -> float:
-    return max(front_cost, back_cost)
-
-
-def phi_speed(v: float, status: Status, params: CostParams) -> float:
-    """Speed-tracking cost at speed ``v`` in traversal ``status``.
-
-    The lenient coefficient applies only while entering; past the merge the
-    pull toward the limit is ten times stronger.
-    """
-    dv2 = (params.v_l - v) ** 2
-    if v > params.v_l:
-        return params.C_o * dv2
-    if status == Status.ENTER:
-        return params.C_en * dv2
-    return params.C_in * dv2
-
-
-def step_cost(w_agg: float, safe: float, speed: float) -> float:
-    """Aggressiveness-weighted combination of the two stage terms."""
-    if not 0.0 <= w_agg <= 1.0:
-        raise ValueError(f"aggressiveness must be in [0, 1], got {w_agg}")
-    return (1.0 - w_agg) * safe + w_agg * speed
-
-
 def horizon_weights(lam: float, horizon: int) -> np.ndarray:
     """Discount weights ``lam**tau`` for the horizon stages ``tau = 0..h-1``."""
     return lam ** np.arange(horizon)
-
-
-def pair_distance(cfg_from: Configuration, cfg_to: Configuration, geometry: Geometry) -> float:
-    """Composite gap: hypot of ccw arc from ``cfg_from`` to ``cfg_to`` and radial offset."""
-    return math.hypot(path_distance(cfg_from.theta, cfg_to.theta, geometry),
-                      cfg_from.r - cfg_to.r)
-
-
-def front_back(ego: Configuration, others: Mapping[int, Configuration],
-               geometry: Geometry, params: CostParams,
-               ) -> Tuple[Optional[Tuple[int, float]], Optional[Tuple[int, float]]]:
-    """Nearest relevant neighbours of ``ego`` among ``others``.
-
-    The front neighbour is the vehicle with the smallest ccw angular gap ahead
-    in [0, pi], the back neighbour the smallest gap behind in (0, pi); both
-    must be within the interaction range ``D`` in composite distance.  Ties
-    go to the lower vehicle id.  Returns ``(front, back)`` as ``(id, d)``
-    pairs or ``None``.
-
-    Vehicles that have exited take no further part in the interaction: an
-    exited ego has no neighbours, and exited others are never selected.
-    """
-    if ego.status == Status.EXIT:
-        return None, None
-    front = back = None
-    front_key = back_key = None
-    for vid in sorted(others):
-        other = others[vid]
-        if other.status == Status.EXIT:
-            continue
-        fgap = (other.theta - ego.theta) % TWO_PI
-        if fgap <= math.pi:
-            d = math.hypot(geometry.r_in * fgap, ego.r - other.r)
-            if d < params.D and (front_key is None or fgap < front_key):
-                front_key, front = fgap, (vid, d)
-        bgap = (ego.theta - other.theta) % TWO_PI
-        if 0.0 < bgap < math.pi:
-            d = math.hypot(geometry.r_in * bgap, ego.r - other.r)
-            if d < params.D and (back_key is None or bgap < back_key):
-                back_key, back = bgap, (vid, d)
-    return front, back
-
-
-# --- strategy-space evaluation ---------------------------------------------
 
 
 def _pair_sides(trajs, stat, params: CostParams, r_in: float):
@@ -267,8 +157,8 @@ def payoff_tensors(trajs: Sequence, w: Sequence[float], params: CostParams,
     ``theta/rho/v/status`` arrays of shape ``(S, h)``.  All players share one
     strategy alphabet, so ``S`` must be equal across bundles; otherwise
     ``ValueError`` is raised.  Stages where a vehicle has exited contribute
-    no pair terms, mirroring ``front_back``.  Returns ``(costs, safe, speed)``,
-    three lists of ``(S,) * K`` tensors, where
+    no pair terms.  Returns ``(costs, safe, speed)``, three lists of
+    ``(S,) * K`` tensors, where
     ``costs[k] = (1-w[k])*safe[k] + w[k]*speed[k]``.
 
     Gaps, distances, candidacy and side costs depend on the two members of

@@ -19,28 +19,29 @@ exceeds it again.  Because centre distance is monotone along each block of
 every path built here, this hysteresis rule is equivalent to switching at the
 two crossing arclens.
 
-``rollout`` advances every strategy in scalar code and then maps all of its
-arclens to poses with a single ``pose_batch`` call.  Poses stay on
-``pose_batch`` rather than the scalar ``pose`` because numpy's ``arctan2`` and
-``hypot`` differ from libm's in the last ulp at some points (about 3% of line
-and arc points sampled on the default geometry), so a scalar rollout would not
-reproduce the same arrays bit for bit.
+``rollout`` advances every strategy of the first-stage alphabet in scalar
+code and then maps all of its arclens to poses with a single ``pose_batch``
+call.  Poses stay on ``pose_batch`` rather than the scalar ``pose`` because
+numpy's ``arctan2`` and ``hypot`` differ from libm's in the last ulp at some
+points (about 3% of line and arc points sampled on the default geometry), so
+a scalar rollout would not reproduce the same arrays bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .geometry import Geometry, NavigationPath, Status
+from .geometry import NavigationPath, Status
 
 #: vehicle occupancy diameter [m]; also the collision distance
 VEHICLE_DIAMETER = 4.5
 
-__all__ = ["Configuration", "Rollout", "VEHICLE_DIAMETER", "step", "update_status",
-           "advance_status", "rollout"]
+__all__ = ["Configuration", "Rollout", "VEHICLE_DIAMETER", "step", "advance_status",
+           "rollout"]
 
 
 @dataclass(frozen=True)
@@ -75,13 +76,6 @@ def advance_status(status: Status, rho: float, threshold: float) -> Status:
     return status
 
 
-def update_status(x: Configuration, geometry: Geometry,
-                  diameter: float = VEHICLE_DIAMETER) -> Configuration:
-    """Re-evaluate ``x.status`` against the occupancy disc ``r_in + diameter``."""
-    new = advance_status(x.status, x.r, geometry.r_in + diameter)
-    return x if new == x.status else replace(x, status=new)
-
-
 def _check_inputs(v: float, delta: float) -> None:
     if delta <= 0.0:
         raise ValueError(f"delta must be positive, got {delta}")
@@ -114,49 +108,47 @@ class Rollout:
     """States of one vehicle under every candidate strategy.
 
     All arrays are ``(n_strategies, horizon)``; column ``tau`` is the state
-    at stage ``tau``, so column 0 repeats the shared start state and the
-    strategy's acceleration at stage ``tau`` produces column ``tau + 1``.
-    The acceleration scheduled for the final stage never affects a stored
-    state and is therefore irrelevant to costs.
+    at stage ``tau``, so column 0 repeats the shared start state and column
+    1 is the first state the strategy's acceleration produces.
     """
 
     theta: np.ndarray
     rho: np.ndarray
     v: np.ndarray
     status: np.ndarray  # int8 Status codes
-    arclen: np.ndarray
 
 
 def rollout(path: NavigationPath, arclen0: float, v0: float, status0: Status,
-            accels: np.ndarray, delta: float,
+            accels: Sequence[float], horizon: int, delta: float,
             diameter: float = VEHICLE_DIAMETER) -> Rollout:
     """``step`` over every strategy: same kernel, same hysteresis.
 
-    The ``S x (h-1)`` stage arclens go through one ``pose_batch`` call; see
+    Strategy ``i`` applies the first-stage acceleration ``accels[i]`` at
+    stage 0 and coasts for the remaining ``horizon - 2`` steps; that is the
+    whole strategy space, as only the first stage is ever executed.  The
+    ``S x (horizon-1)`` stage arclens go through one ``pose_batch`` call; see
     the module docstring for why poses are not taken from scalar ``pose``.
     """
     v0 = float(v0)
     arclen0 = float(arclen0)
     _check_inputs(v0, delta)
-    accels = np.asarray(accels, dtype=float)
-    n, h = accels.shape
+    n, h = len(accels), horizon
     rho0, theta0, _ = path.pose(arclen0)
     arcs, vels = [], []
-    for row in accels[:, :h - 1].tolist():
-        s, v = arclen0, v0
-        arc_row, vel_row = [arclen0], [v0]
-        for a in row:
-            s, v = _advance(s, v, a, delta)
+    for a in accels:
+        s, v = _advance(arclen0, v0, float(a), delta)
+        arc_row, vel_row = [s], [v0, v]
+        for _ in range(h - 2):
+            s, v = _advance(s, v, 0.0, delta)
             arc_row.append(s)
             vel_row.append(v)
         arcs.append(arc_row)
         vels.append(vel_row)
-    arc = np.array(arcs)
     rho = np.empty((n, h))
     theta = np.empty((n, h))
     rho[:, 0] = rho0
     theta[:, 0] = theta0
-    r_t, th_t, _ = path.pose_batch(arc[:, 1:].ravel())
+    r_t, th_t, _ = path.pose_batch(np.ravel(arcs))
     rho[:, 1:] = r_t.reshape(n, h - 1)
     theta[:, 1:] = th_t.reshape(n, h - 1)
     thr = path.r_in + diameter
@@ -169,4 +161,4 @@ def rollout(path: NavigationPath, arclen0: float, v0: float, status0: Status,
             code_row.append(st)
         codes.append(code_row)
     status = np.array(codes, dtype=np.int8)
-    return Rollout(theta=theta, rho=rho, v=np.array(vels), status=status, arclen=arc)
+    return Rollout(theta=theta, rho=rho, v=np.array(vels), status=status)

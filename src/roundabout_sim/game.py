@@ -7,10 +7,10 @@ will do the same.  The solution is the subgame-perfect equilibrium found by
 backward induction; ties always resolve to the earliest strategy in the
 canonical alphabet order, so the outcome is deterministic.
 
-A strategy is a horizon-long acceleration schedule.  The alphabet used here
-varies only the first stage — brake hard, brake, coast, accelerate, floor it
-— and coasts afterwards, which matches receding-horizon execution where only
-the first stage is ever applied.
+A strategy is one first-stage acceleration from the alphabet — brake hard,
+brake, coast, accelerate, floor it — followed by coasting to the end of the
+horizon, which matches receding-horizon execution where only the first stage
+is ever applied.
 
 ``tensor_equilibrium`` runs the induction as vectorised argmin/gather passes
 over precomputed cost tensors with one axis per player.  It also solves a
@@ -28,7 +28,6 @@ import numpy as np
 __all__ = [
     "DEFAULT_ACCELS",
     "GameParams",
-    "build_strategies",
     "order_players",
     "tensor_equilibrium",
 ]
@@ -49,16 +48,6 @@ class GameParams:
             raise ValueError("horizon must be at least 2 for strategies to matter")
         if len(self.strategy_accels) < 2:
             raise ValueError("need at least two strategies")
-
-    def strategies(self) -> np.ndarray:
-        return build_strategies(self.strategy_accels, self.horizon)
-
-
-def build_strategies(accels: Sequence[float] = DEFAULT_ACCELS, horizon: int = 4) -> np.ndarray:
-    """(S, horizon) schedule matrix: one acceleration now, coast afterwards."""
-    out = np.zeros((len(accels), horizon))
-    out[:, 0] = accels
-    return out
 
 
 def order_players(weights: Mapping[int, float]) -> list:

@@ -49,8 +49,6 @@ __all__ = [
     "Geometry",
     "build_roundabout",
     "build_path",
-    "path_pose",
-    "path_distance",
 ]
 
 
@@ -60,9 +58,6 @@ class Status(IntEnum):
     ENTER = 0
     INSIDE = 1
     EXIT = 2
-
-    def label(self):
-        return self.name.lower()
 
 
 class Maneuver(Enum):
@@ -143,12 +138,6 @@ class Segment:
         return (self.ax + self.radius * math.cos(psi),
                 self.ay + self.radius * math.sin(psi))
 
-    def heading_at(self, t):
-        if self.type == _LINE:
-            return math.atan2(self.by, self.bx)
-        psi = self.psi0 + self.orient * t / self.radius
-        return psi + self.orient * math.pi / 2.0
-
 
 @dataclass
 class NavigationPath:
@@ -158,10 +147,7 @@ class NavigationPath:
     exit_arm: int | None
     segments: list
     r_in: float
-    endless: bool = False
     total_length: float = field(init=False)
-    total_enter_len: float = field(init=False)
-    exit_angle: float = field(init=False)
     _s0: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -171,13 +157,6 @@ class NavigationPath:
         self._starts = cum[:-1]
         self._s0 = np.asarray(self._starts)
         self.total_length = cum[-1]
-        self.total_enter_len = sum(
-            s.length for s in self.segments if s.label == Status.ENTER)
-        last = self.segments[-1]
-        if last.type == _LINE and last.label == Status.EXIT:
-            self.exit_angle = math.atan2(last.by, last.bx) % TWO_PI
-        else:
-            self.exit_angle = math.nan
         # column table for vectorised pose queries; lines get radius 1 so the
         # arc formula, evaluated at every point and discarded on lines, stays finite
         types = np.array([s.type for s in self.segments])
@@ -219,10 +198,6 @@ class NavigationPath:
         rho = np.where(circle, radius, np.hypot(x, y))
         theta = np.where(circle, psi, np.arctan2(y, x)) % TWO_PI
         return rho, theta, self._labels[idx]
-
-    def heading(self, arclen):
-        i = self._segment_index(arclen)
-        return self.segments[i].heading_at(arclen - self._starts[i]) % TWO_PI
 
     def project(self, x, y):
         """Arclen of the path point nearest to (x, y); first minimum wins."""
@@ -284,7 +259,7 @@ class Geometry:
             segs = _entry_segments(self, kind)
             segs.append(Segment(_CIRCLE, Status.INSIDE, 3 * TWO_PI * self.r_in,
                                 radius=self.r_in, psi0=_merge_angle(self, kind), orient=1.0))
-            self._entry_hypo[kind] = NavigationPath(kind, None, segs, self.r_in, endless=True)
+            self._entry_hypo[kind] = NavigationPath(kind, None, segs, self.r_in)
         return self._entry_hypo[kind]
 
     def exit_hypothesis(self, arm):
@@ -303,7 +278,7 @@ class Geometry:
         if self._circle_hypo is None:
             seg = Segment(_CIRCLE, Status.INSIDE, 4 * TWO_PI * self.r_in,
                           radius=self.r_in, psi0=0.0, orient=1.0)
-            self._circle_hypo = NavigationPath(None, None, [seg], self.r_in, endless=True)
+            self._circle_hypo = NavigationPath(None, None, [seg], self.r_in)
         return self._circle_hypo
 
 
@@ -397,16 +372,3 @@ def build_path(geometry: Geometry, kind: PathKind) -> NavigationPath:
     segs.extend(_exit_segments(geometry, exit_arm, chi))
     return NavigationPath(kind, exit_arm, segs, spec.r_in)
 
-
-def path_pose(path: NavigationPath, arclen: float):
-    """(rho, theta, base status label) at ``arclen`` along ``path``."""
-    return path.pose(arclen)
-
-
-def path_distance(theta_from: float, theta_to: float, geometry: Geometry) -> float:
-    """Driving-circle arc length of the counter-clockwise gap between angles.
-
-    Directional: the gap is measured counter-clockwise from ``theta_from`` to
-    ``theta_to``; callers pass arguments in the direction they need.
-    """
-    return geometry.r_in * ((theta_to - theta_from) % TWO_PI)

@@ -22,13 +22,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .agent import AgentParams, AgentState, decide, observe, update_estimates
 from .cost import CostParams
-from .dynamics import Configuration, step
+from .dynamics import VEHICLE_DIAMETER, Configuration, step
 from .game import GameParams
 from .geometry import Geometry, Maneuver, NavigationPath, PathKind, Status
 
@@ -38,6 +38,7 @@ __all__ = [
     "TraceRow",
     "RunResult",
     "init_scenario",
+    "min_pairwise",
     "run_simulation",
 ]
 
@@ -51,7 +52,7 @@ class SimParams:
     max_steps: int = 400
     spawn_spacing: float = 10.0  # gap between queued spawns on one arm [m]
     removal_margin: float = 5.0  # past the occupancy disc before despawn [m]
-    vehicle_diameter: float = 4.5
+    vehicle_diameter: float = VEHICLE_DIAMETER
 
     def __post_init__(self):
         if self.delta <= 0.0:
@@ -145,9 +146,15 @@ def init_scenario(n_vehicles: int, geometry: Geometry, seed: int,
     return vehicles, agents
 
 
-def _min_pairwise(configs: List[Configuration]) -> Tuple[float, Optional[Tuple[int, int]]]:
+def min_pairwise(polar: Sequence[Tuple[float, float]],
+                 ) -> Tuple[float, Optional[Tuple[int, int]]]:
+    """Closest centre distance among ``(r, theta)`` positions and its index pair.
+
+    The first pair attaining the minimum wins; fewer than two positions give
+    ``(inf, None)``.
+    """
     best, pair = math.inf, None
-    pts = [(c.r * math.cos(c.theta), c.r * math.sin(c.theta)) for c in configs]
+    pts = [(r * math.cos(theta), r * math.sin(theta)) for r, theta in polar]
     for a in range(len(pts)):
         for b in range(a + 1, len(pts)):
             d = math.hypot(pts[a][0] - pts[b][0], pts[a][1] - pts[b][1])
@@ -181,12 +188,10 @@ def run_simulation(n_vehicles: int, seed: int, geometry: Geometry,
     """Run one scenario to completion and collect its trace and metrics."""
     vehicles, agents = init_scenario(n_vehicles, geometry, seed, sim_params, cost_params)
     diameter = sim_params.vehicle_diameter
-    strategies = game_params.strategies()
     removal_r = geometry.r_in + diameter + sim_params.removal_margin
     rows: List[TraceRow] = []
     collision = None
-    live_list = [v.config for v in vehicles.values()]
-    min_distance, _ = _min_pairwise(live_list)
+    min_distance, _ = min_pairwise([(v.config.r, v.config.theta) for v in vehicles.values()])
     t = 0
     while t < sim_params.max_steps:
         live = {vid: v for vid, v in vehicles.items() if not v.removed}
@@ -214,7 +219,7 @@ def run_simulation(n_vehicles: int, seed: int, geometry: Geometry,
                        cost_params, game_params, agent_params,
                        sim_params.delta, cache, diameter)
             accel_of[vid], est_of[vid], override_of[vid] = d.accel, d.weights, d.override
-            pred_of[vid] = {j: float(strategies[d.profile[j], 0])
+            pred_of[vid] = {j: float(game_params.strategy_accels[d.profile[j]])
                             for j in d.profile if j != vid}
         for vid in sorted(live):
             c = live[vid].config
@@ -234,7 +239,7 @@ def run_simulation(n_vehicles: int, seed: int, geometry: Geometry,
         active = [(vid, v) for vid, v in vehicles.items()
                   if not v.removed and v.config.status != Status.EXIT]
         if len(active) >= 2:
-            dmin, pair = _min_pairwise([v.config for _, v in active])
+            dmin, pair = min_pairwise([(v.config.r, v.config.theta) for _, v in active])
             min_distance = min(min_distance, dmin)
             if dmin < diameter:
                 collision = (t, active[pair[0]][0], active[pair[1]][0])

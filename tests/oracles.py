@@ -8,18 +8,187 @@ arrays broadcast into joint space for ``payoff_tensors``, and one
 equilibrium per candidate weight for the estimator.  The production code must
 agree with them bit for bit.  ``SequentialGame`` and ``solve`` walk the game
 tree through a payoff callable, an independent check of the tensor solver.
+
+The scalar stage costs (``phi_front``, ``phi_back``, ``phi_safe``,
+``phi_speed``, ``step_cost``) and neighbour selection (``front_back``) are
+the per-vehicle form of ``payoff_tensors``; the geometry and status helpers
+state path invariants the simulator relies on but never evaluates.
 """
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Callable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from roundabout_sim.cost import horizon_weights
-from roundabout_sim.dynamics import VEHICLE_DIAMETER, rollout
-from roundabout_sim.game import order_players
-from roundabout_sim.geometry import _ARC, _CIRCLE, _LINE, TWO_PI, Maneuver, PathKind, Status
+from roundabout_sim.cost import CostParams, horizon_weights
+from roundabout_sim.dynamics import VEHICLE_DIAMETER, Configuration, advance_status, rollout
+from roundabout_sim.game import DEFAULT_ACCELS, order_players
+from roundabout_sim.geometry import (
+    _ARC,
+    _CIRCLE,
+    _LINE,
+    TWO_PI,
+    Geometry,
+    Maneuver,
+    NavigationPath,
+    PathKind,
+    Status,
+)
+
+# --- geometry and status helpers -------------------------------------------
+
+
+def path_distance(theta_from: float, theta_to: float, geometry: Geometry) -> float:
+    """Driving-circle arc length of the counter-clockwise gap between angles.
+
+    Directional: the gap is measured counter-clockwise from ``theta_from`` to
+    ``theta_to``.
+    """
+    return geometry.r_in * ((theta_to - theta_from) % TWO_PI)
+
+
+def heading_at(seg, t):
+    """Travel direction on segment ``seg`` at offset ``t``."""
+    if seg.type == _LINE:
+        return math.atan2(seg.by, seg.bx)
+    psi = seg.psi0 + seg.orient * t / seg.radius
+    return psi + seg.orient * math.pi / 2.0
+
+
+def heading(path: NavigationPath, arclen: float) -> float:
+    """Travel direction in [0, 2pi) at ``arclen`` along ``path``."""
+    i = path._segment_index(arclen)
+    return heading_at(path.segments[i], arclen - path._starts[i]) % TWO_PI
+
+
+def total_enter_len(path: NavigationPath) -> float:
+    """Arclen of the path's enter block."""
+    return sum(s.length for s in path.segments if s.label == Status.ENTER)
+
+
+def exit_angle(path: NavigationPath) -> float:
+    """Direction of the outbound lane, or NaN for a path that never leaves."""
+    last = path.segments[-1]
+    if last.type == _LINE and last.label == Status.EXIT:
+        return math.atan2(last.by, last.bx) % TWO_PI
+    return math.nan
+
+
+def update_status(x: Configuration, geometry: Geometry,
+                  diameter: float = VEHICLE_DIAMETER) -> Configuration:
+    """Re-evaluate ``x.status`` against the occupancy disc ``r_in + diameter``."""
+    new = advance_status(x.status, x.r, geometry.r_in + diameter)
+    return x if new == x.status else replace(x, status=new)
+
+
+def build_strategies(accels: Sequence[float] = DEFAULT_ACCELS, horizon: int = 4) -> np.ndarray:
+    """(S, horizon) schedule matrix: one acceleration now, coast afterwards."""
+    out = np.zeros((len(accels), horizon))
+    out[:, 0] = accels
+    return out
+
+
+# --- scalar stage costs ----------------------------------------------------
+
+
+def beta(d: float, threshold: float, params: CostParams) -> float:
+    """Hard comfort wall: prohibitive once the gap is at or below threshold."""
+    return params.E_inf if d <= threshold else 0.0
+
+
+def _phi_pair(ego_status: Status, other_status: Status, d: float, params: CostParams) -> float:
+    q = (params.D - d) ** 2
+    if ego_status == Status.INSIDE and other_status == Status.ENTER:
+        return params.C_ins * q
+    if ego_status == Status.ENTER and other_status == Status.INSIDE:
+        return params.C * q + beta(d, params.D_en, params)
+    return params.C * q + beta(d, params.D_c, params)
+
+
+def phi_front(ego_status: Status, front_status: Optional[Status], d: Optional[float],
+              params: CostParams) -> float:
+    """Proximity cost toward the front neighbour; zero when there is none."""
+    if front_status is None or d is None:
+        return 0.0
+    return _phi_pair(ego_status, front_status, d, params)
+
+
+def phi_back(ego_status: Status, back_status: Optional[Status], d: Optional[float],
+             params: CostParams) -> float:
+    """Proximity cost toward the back neighbour; zero when there is none."""
+    if back_status is None or d is None:
+        return 0.0
+    return _phi_pair(ego_status, back_status, d, params)
+
+
+def phi_safe(front_cost: float, back_cost: float) -> float:
+    return max(front_cost, back_cost)
+
+
+def phi_speed(v: float, status: Status, params: CostParams) -> float:
+    """Speed-tracking cost at speed ``v`` in traversal ``status``.
+
+    The lenient coefficient applies only while entering; past the merge the
+    pull toward the limit is ten times stronger.
+    """
+    dv2 = (params.v_l - v) ** 2
+    if v > params.v_l:
+        return params.C_o * dv2
+    if status == Status.ENTER:
+        return params.C_en * dv2
+    return params.C_in * dv2
+
+
+def step_cost(w_agg: float, safe: float, speed: float) -> float:
+    """Aggressiveness-weighted combination of the two stage terms."""
+    if not 0.0 <= w_agg <= 1.0:
+        raise ValueError(f"aggressiveness must be in [0, 1], got {w_agg}")
+    return (1.0 - w_agg) * safe + w_agg * speed
+
+
+def pair_distance(cfg_from: Configuration, cfg_to: Configuration, geometry: Geometry) -> float:
+    """Composite gap: hypot of ccw arc from ``cfg_from`` to ``cfg_to`` and radial offset."""
+    return math.hypot(path_distance(cfg_from.theta, cfg_to.theta, geometry),
+                      cfg_from.r - cfg_to.r)
+
+
+def front_back(ego: Configuration, others: Mapping[int, Configuration],
+               geometry: Geometry, params: CostParams,
+               ) -> Tuple[Optional[Tuple[int, float]], Optional[Tuple[int, float]]]:
+    """Nearest relevant neighbours of ``ego`` among ``others``.
+
+    The front neighbour is the vehicle with the smallest ccw angular gap ahead
+    in [0, pi], the back neighbour the smallest gap behind in (0, pi); both
+    must be within the interaction range ``D`` in composite distance.  Ties
+    go to the lower vehicle id.  Returns ``(front, back)`` as ``(id, d)``
+    pairs or ``None``.
+
+    Vehicles that have exited take no further part in the interaction: an
+    exited ego has no neighbours, and exited others are never selected.
+    """
+    if ego.status == Status.EXIT:
+        return None, None
+    front = back = None
+    front_key = back_key = None
+    for vid in sorted(others):
+        other = others[vid]
+        if other.status == Status.EXIT:
+            continue
+        fgap = (other.theta - ego.theta) % TWO_PI
+        if fgap <= math.pi:
+            d = math.hypot(geometry.r_in * fgap, ego.r - other.r)
+            if d < params.D and (front_key is None or fgap < front_key):
+                front_key, front = fgap, (vid, d)
+        bgap = (ego.theta - other.theta) % TWO_PI
+        if 0.0 < bgap < math.pi:
+            d = math.hypot(geometry.r_in * bgap, ego.r - other.r)
+            if d < params.D and (back_key is None or bgap < back_key):
+                back_key, back = bgap, (vid, d)
+    return front, back
+
+
+# --- references for the production hot paths -------------------------------
 
 
 def segment_starts(path):
@@ -304,9 +473,9 @@ def reference_reestimate(state, j, obs_j, cost_params, game_params, agent_params
                          delta, diameter=VEHICLE_DIAMETER):
     """The estimator's weight fit: fresh rollouts and one equilibrium per weight."""
     ri_e, ri_j = state.ego_replay, state.replay[j]
-    strategies = game_params.strategies()
     ids = sorted((state.vid, j))
-    rolls = {v: rollout(ri.path, ri.arclen, ri.v, ri.status, strategies, delta, diameter)
+    rolls = {v: rollout(ri.path, ri.arclen, ri.v, ri.status, game_params.strategy_accels,
+                        game_params.horizon, delta, diameter)
              for v, ri in ((state.vid, ri_e), (j, ri_j))}
     trajs = [rolls[v] for v in ids]
     _, safe, speed = reference_payoff_tensors(trajs, [0.0, 0.0], cost_params,

@@ -13,10 +13,11 @@ import time
 import numpy as np
 import pytest
 
+from oracles import beta, phi_back, phi_front, phi_safe, phi_speed, step_cost
 from roundabout_sim.agent import AgentParams, AgentState, decide, observe, update_estimates
 from roundabout_sim.cli import _buckets, main, run_campaign, trace_stats
 from roundabout_sim.config import ExperimentConfig
-from roundabout_sim.cost import CostParams, beta, horizon_weights, phi_back, phi_front, phi_safe, phi_speed, step_cost
+from roundabout_sim.cost import CostParams, horizon_weights
 from roundabout_sim.dynamics import Configuration, step
 from roundabout_sim.game import GameParams, tensor_equilibrium
 from roundabout_sim.geometry import TWO_PI, RoundaboutSpec, Status, build_roundabout

@@ -103,7 +103,7 @@ class TestEstimatePath:
 
     def test_on_circle_assumed_to_circulate(self, geom):
         hyp = estimate_path(on_circle(1.0), geom)
-        assert hyp.endless
+        assert hyp.exit_arm is None
         r, _, status = hyp.pose(37.0)
         assert r == pytest.approx(20.0)
         assert status == Status.INSIDE
@@ -112,7 +112,7 @@ class TestEstimatePath:
         prev = on_circle(1.4, r=20.6)
         cur = on_circle(1.5, r=21.4)
         hyp = estimate_path(cur, geom, prev=prev)
-        assert not hyp.endless
+        assert hyp.exit_arm is not None
         assert hyp.exit_arm == 1  # next arm ahead of theta=1.5 is pi/2... with grace
         r_end, _, st_end = hyp.pose(hyp.total_length)
         assert st_end == Status.EXIT and r_end > 20.0

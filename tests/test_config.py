@@ -1,7 +1,10 @@
 """Config grammar, validation errors, and seed resolution."""
 
+import re
+
 import pytest
 
+from roundabout_sim import config as config_module
 from roundabout_sim.config import (
     DEFAULT_RUNS,
     DEFAULT_SEED,
@@ -124,3 +127,83 @@ class TestSeedResolution:
         cfg = parse_config("campaign = 4 x 5\ncampaign = 6 x 7\n")
         rows = resolved_campaign(cfg, flag_runs=2, env={})
         assert [r.n_runs for r in rows] == [2, 2]
+
+
+# [section] key -> (config text, parsed value), each valid and not the default
+KEY_VALUES = {
+    ("geometry", "ways"): ("5", 5),
+    ("geometry", "r_in"): ("22.5", 22.5),
+    ("geometry", "r_en"): ("9", 9.0),
+    ("geometry", "approach_len"): ("45.0", 45.0),
+    ("geometry", "theta1"): ("0.35", 0.35),
+    ("geometry", "theta2"): ("1.5", 1.5),
+    ("geometry", "theta3"): ("0.45", 0.45),
+    ("geometry", "entrance_angles"): ("0.1, 1.6, 3.2, 4.7", (0.1, 1.6, 3.2, 4.7)),
+    ("cost", "lambda"): ("0.7", 0.7),
+    ("cost", "E_inf"): ("1e11", 1e11),
+    ("cost", "C"): ("12", 12.0),
+    ("cost", "C_ins"): ("2.0", 2.0),
+    ("cost", "C_en"): ("2.5", 2.5),
+    ("cost", "C_in"): ("11.0", 11.0),
+    ("cost", "C_o"): ("2000", 2000.0),
+    ("cost", "D"): ("31.0", 31.0),
+    ("cost", "D_en"): ("11.0", 11.0),
+    ("cost", "D_c"): ("5.0", 5.0),
+    ("cost", "v_l"): ("12.5", 12.5),
+    ("game", "horizon"): ("5", 5),
+    ("game", "strategy_accels"): ("-40, 0, 20", (-40.0, 0.0, 20.0)),
+    ("agent", "w_grid"): ("0.2, 0.4, 0.6", (0.2, 0.4, 0.6)),
+    ("agent", "initial_estimate"): ("0.4", 0.4),
+    ("agent", "eps_dev"): ("0.2", 0.2),
+    ("agent", "eps_r"): ("0.6", 0.6),
+    ("agent", "deadlock_prob"): ("0.25", 0.25),
+    ("agent", "deadlock_accel"): ("8.0", 8.0),
+    ("agent", "deadlock_speed_eps"): ("1e-5", 1e-5),
+    ("agent", "estimator_ego_uses_true_weight"): ("on", True),
+    ("agent", "player_cap"): ("3", 3),
+    ("sim", "delta"): ("0.2", 0.2),
+    ("sim", "max_steps"): ("100", 100),
+    ("sim", "spawn_spacing"): ("12.0", 12.0),
+    ("sim", "removal_margin"): ("4.0", 4.0),
+    ("sim", "vehicle_diameter"): ("4.0", 4.0),
+    ("output", "out"): ("runs/exp1", "runs/exp1"),
+    ("output", "traces"): ("yes", True),
+}
+
+# where each section's values land on ExperimentConfig (None: the config itself)
+SECTION_OWNER = {"geometry": "spec", "cost": "cost", "game": "game", "agent": "agent",
+                 "sim": "sim", "output": None}
+
+
+def documented_keys():
+    """The ``[section] key`` pairs listed in the config module docstring."""
+    block = config_module.__doc__.split("Sections and keys::", 1)[1]
+    block = block.split("Campaign rows", 1)[0]
+    keys, section = set(), None
+    for line in block.splitlines():
+        line = re.sub(r"\(.*?\)", "", line)
+        m = re.match(r"\s*\[(\w+)\](.*)", line)
+        if m:
+            section, line = m.group(1), m.group(2)
+        keys |= {(section, k) for k in re.findall(r"\w+", line)}
+    return keys
+
+
+class TestEveryKey:
+    def test_key_table_matches_docstring(self):
+        table = {(sec, key) for sec, keys in config_module._SECTIONS.items() for key in keys}
+        assert len(table) == 37
+        assert table == documented_keys() == set(KEY_VALUES)
+
+    @pytest.mark.parametrize("section,key", sorted(KEY_VALUES))
+    def test_key_round_trips(self, section, key):
+        text, want = KEY_VALUES[section, key]
+        owner = SECTION_OWNER[section]
+        field = "lam" if key == "lambda" else key
+        default = parse_config("")
+        cfg = parse_config(f"[{section}]\n{key} = {text}\n")
+        got_obj = cfg if owner is None else getattr(cfg, owner)
+        was = getattr(default if owner is None else getattr(default, owner), field)
+        got = getattr(got_obj, field)
+        assert got == want and type(got) is type(want)
+        assert got != was

@@ -7,22 +7,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import reference_payoff_tensors
-from roundabout_sim.cost import (
-    CostParams,
+from oracles import (
     beta,
+    build_strategies,
     front_back,
-    horizon_weights,
     pair_distance,
-    payoff_tensors,
     phi_back,
     phi_front,
     phi_safe,
     phi_speed,
+    reference_payoff_tensors,
     step_cost,
 )
+from roundabout_sim.cost import CostParams, horizon_weights, payoff_tensors
 from roundabout_sim.dynamics import Configuration, Rollout, rollout, step
-from roundabout_sim.game import build_strategies
+from roundabout_sim.game import DEFAULT_ACCELS
 from roundabout_sim.geometry import Maneuver, PathKind, RoundaboutSpec, Status, build_roundabout
 
 P = CostParams()
@@ -220,7 +219,7 @@ class TestPayoffTensors:
             st0 = Status.ENTER if rho0 > geom.r_in + 4.5 else Status.INSIDE
             paths.append(path)
             starts.append((s0, v0, st0))
-            trajs.append(rollout(path, s0, v0, st0, strategies, delta))
+            trajs.append(rollout(path, s0, v0, st0, DEFAULT_ACCELS, horizon, delta))
             w.append(data.draw(st.sampled_from([0.1, 0.5, 0.9])))
         costs, safe, speed = payoff_tensors(trajs, w, params, geom.r_in)
         profile = tuple(data.draw(st.integers(0, len(strategies) - 1)) for _ in range(K))
@@ -243,13 +242,12 @@ class TestRolloutCoherence:
         strategies = build_strategies(horizon=4)
         rho0, theta0, _ = path.pose(s0)
         st0 = Status.ENTER if rho0 > geom.r_in + 4.5 else Status.INSIDE
-        R = rollout(path, s0, v0, st0, strategies, 0.25)
+        R = rollout(path, s0, v0, st0, DEFAULT_ACCELS, 4, 0.25)
         for i, seq in enumerate(strategies):
             c = Configuration(r=rho0, theta=theta0, v=v0, status=st0, arclen=s0)
             for tau in range(1, 4):
                 c = step(c, seq[tau - 1], 0.25, path)
                 assert R.v[i, tau] == c.v
-                assert R.arclen[i, tau] == c.arclen
                 assert R.status[i, tau] == int(c.status)
                 assert R.theta[i, tau] == pytest.approx(c.theta, abs=1e-12)
                 assert R.rho[i, tau] == pytest.approx(c.r, rel=1e-12)
@@ -257,7 +255,6 @@ class TestRolloutCoherence:
 
 def rollout_pool(geom, horizon, delta=0.25):
     """Rollouts on circle, entry and exit hypotheses, several with EXIT stages."""
-    strategies = build_strategies(horizon=horizon)
     thr = geom.r_in + 4.5
     lap = 2 * math.pi * geom.r_in
     starts = []
@@ -275,7 +272,7 @@ def rollout_pool(geom, horizon, delta=0.25):
         rho0, _, label = path.pose(s0)
         st0 = Status.ENTER if label == Status.ENTER else (
             Status.EXIT if label == Status.EXIT and rho0 > thr else Status.INSIDE)
-        pool.append(rollout(path, s0, v0, st0, strategies, delta))
+        pool.append(rollout(path, s0, v0, st0, DEFAULT_ACCELS, horizon, delta))
     return pool
 
 
@@ -309,15 +306,14 @@ class TestPayoffTensorsBitIdentity:
 
     def test_ring_neighbourhoods(self, geom):
         # dense same-path traffic: every window, range and wall branch fires
-        strategies = build_strategies(horizon=4)
         circle = geom.circle_hypothesis()
         entry = geom.entry_hypothesis(PathKind(Maneuver.GO_STRAIGHT, 0))
         params = CostParams()
         for offsets in [(0.0, 0.0), (0.0, 4.0, 8.0), (0.0, 5.9, 6.0, 6.1),
                         (0.0, 30.0, 60.0, 90.0), (0.0, 0.0, 3.0, 3.0)]:
             for path in (circle, entry):
-                trajs = [rollout(path, 10.0 + o, 7.0, path.pose(10.0 + o)[2], strategies, 0.25)
-                         for o in offsets]
+                trajs = [rollout(path, 10.0 + o, 7.0, path.pose(10.0 + o)[2],
+                                 DEFAULT_ACCELS, 4, 0.25) for o in offsets]
                 self.assert_same(trajs, [0.5] * len(trajs), params, geom.r_in)
 
     @pytest.mark.parametrize("horizon", [4, 9])
@@ -334,8 +330,7 @@ class TestPayoffTensorsBitIdentity:
             shape = (5, horizon)
             return Rollout(theta=rng.choice(angles, size=shape), rho=rng.choice(radii, size=shape),
                            v=rng.choice([0.0, 5.0, 11.0, 14.0], size=shape),
-                           status=rng.integers(0, 3, size=shape).astype(np.int8),
-                           arclen=np.zeros(shape))
+                           status=rng.integers(0, 3, size=shape).astype(np.int8))
 
         for r_in in (geom.r_in, 5.0):
             for K in (2, 3, 4):
@@ -344,8 +339,7 @@ class TestPayoffTensorsBitIdentity:
 
     def test_unequal_alphabets_rejected(self, geom):
         circle = geom.circle_hypothesis()
-        a = rollout(circle, 0.0, 5.0, Status.INSIDE, build_strategies(horizon=4), 0.25)
-        b = rollout(circle, 9.0, 5.0, Status.INSIDE,
-                    build_strategies((-10.0, 0.0, 10.0), horizon=4), 0.25)
+        a = rollout(circle, 0.0, 5.0, Status.INSIDE, DEFAULT_ACCELS, 4, 0.25)
+        b = rollout(circle, 9.0, 5.0, Status.INSIDE, (-10.0, 0.0, 10.0), 4, 0.25)
         with pytest.raises(ValueError):
             payoff_tensors([a, b], [0.5, 0.5], CostParams(), geom.r_in)

@@ -8,13 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import SequentialGame, reference_tensor_equilibrium, solve
-from roundabout_sim.game import (
-    DEFAULT_ACCELS,
-    GameParams,
-    build_strategies,
-    order_players,
-    tensor_equilibrium,
-)
+from roundabout_sim.game import GameParams, order_players, tensor_equilibrium
 
 
 def exhaustive_oracle(costs, order):
@@ -35,12 +29,6 @@ def exhaustive_oracle(costs, order):
 
 
 class TestStrategies:
-    def test_alphabet_and_shape(self):
-        S = build_strategies()
-        assert S.shape == (5, 4)
-        assert tuple(S[:, 0]) == DEFAULT_ACCELS
-        assert np.all(S[:, 1:] == 0.0)
-
     def test_params_validation(self):
         with pytest.raises(ValueError):
             GameParams(horizon=1)

@@ -7,7 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import all_paths, boundary_arclens, reference_pose, reference_pose_batch
+from oracles import (
+    all_paths,
+    boundary_arclens,
+    exit_angle,
+    heading,
+    path_distance,
+    reference_pose,
+    reference_pose_batch,
+    total_enter_len,
+)
 from roundabout_sim.geometry import (
     Maneuver,
     PathKind,
@@ -15,8 +24,6 @@ from roundabout_sim.geometry import (
     Status,
     build_path,
     build_roundabout,
-    path_distance,
-    path_pose,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -94,7 +101,7 @@ class TestPathConstruction:
         p = build_path(geom, kind)
         labels = [s.label for s in p.segments]
         assert labels == [Status.ENTER, Status.ENTER, Status.INSIDE, Status.EXIT, Status.EXIT]
-        assert p.total_enter_len == pytest.approx(
+        assert total_enter_len(p) == pytest.approx(
             geom.spec.approach_len + p.segments[1].length)
         assert all(s.length > 0 for s in p.segments)
 
@@ -107,14 +114,14 @@ class TestPathConstruction:
             left = np.array(_xy(p, s - 1e-9))
             right = np.array(_xy(p, s + 1e-9))
             assert np.allclose(left, right, atol=1e-6)
-            h0 = p.heading(s - 1e-9)
-            h1 = p.heading(s + 1e-9)
+            h0 = heading(p, s - 1e-9)
+            h1 = heading(p, s + 1e-9)
             assert abs((h1 - h0 + math.pi) % TWO_PI - math.pi) < 1e-6
 
     @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: f"{k.maneuver.value}-{k.arm}")
     def test_exit_heading_matches_arm(self, geom, kind):
         p = build_path(geom, kind)
-        assert p.exit_angle == pytest.approx(geom.arm_angles[p.exit_arm] % TWO_PI)
+        assert exit_angle(p) == pytest.approx(geom.arm_angles[p.exit_arm] % TWO_PI)
 
     def test_centre_distance_monotone_per_block(self, geom):
         for kind in ALL_KINDS:
@@ -154,15 +161,15 @@ class TestPathConstruction:
 
 
 def _xy(path, s):
-    rho, theta, _ = path_pose(path, s)
+    rho, theta, _ = path.pose(s)
     return rho * math.cos(theta), rho * math.sin(theta)
 
 
 class TestPose:
     def test_inside_pose_is_exact(self, geom):
         p = build_path(geom, PathKind(Maneuver.GO_STRAIGHT, 0))
-        s_mid = p.total_enter_len + 0.5 * geom.r_in * (math.pi - geom.spec.theta2)
-        rho, theta, label = path_pose(p, s_mid)
+        s_mid = total_enter_len(p) + 0.5 * geom.r_in * (math.pi - geom.spec.theta2)
+        rho, theta, label = p.pose(s_mid)
         assert rho == geom.r_in  # bit-exact on the driving circle
         assert label == Status.INSIDE
         assert 0.0 <= theta < TWO_PI
@@ -170,7 +177,7 @@ class TestPose:
     def test_negative_arclen_rejected(self, geom):
         p = build_path(geom, PathKind(Maneuver.TURN_RIGHT, 0))
         with pytest.raises(ValueError):
-            path_pose(p, -0.1)
+            p.pose(-0.1)
 
     @pytest.mark.parametrize("ways", [3, 4])
     def test_nan_arclen_rejected(self, ways):
@@ -185,8 +192,8 @@ class TestPose:
 
     def test_extrapolates_past_end(self, geom):
         p = build_path(geom, PathKind(Maneuver.TURN_RIGHT, 0))
-        rho0, theta0, label0 = path_pose(p, p.total_length)
-        rho1, theta1, label1 = path_pose(p, p.total_length + 25.0)
+        rho0, theta0, label0 = p.pose(p.total_length)
+        rho1, theta1, label1 = p.pose(p.total_length + 25.0)
         assert label0 == label1 == Status.EXIT
         assert rho1 > rho0  # keeps receding along the exit lane
 
@@ -219,7 +226,7 @@ class TestPose:
         geom = build_roundabout(RoundaboutSpec())
         kind = data.draw(st.sampled_from(ALL_KINDS))
         p = build_path(geom, kind)
-        rho, theta, label = path_pose(p, s)
+        rho, theta, label = p.pose(s)
         rb, tb, lb = p.pose_batch(np.array([s]))
         # libm vs numpy atan2/hypot may differ in the last ulp
         assert rb[0] == pytest.approx(rho, rel=1e-12, abs=1e-12)
@@ -241,22 +248,22 @@ class TestPose:
 class TestHypothesisPaths:
     def test_entry_hypothesis_circulates_forever(self, geom):
         h = geom.entry_hypothesis(PathKind(Maneuver.GO_STRAIGHT, 1))
-        assert h.endless
-        assert math.isnan(h.exit_angle)
-        rho, _, label = path_pose(h, h.total_enter_len + 3 * geom.r_in)
+        assert h.exit_arm is None
+        assert math.isnan(exit_angle(h))
+        rho, _, label = h.pose(total_enter_len(h) + 3 * geom.r_in)
         assert rho == geom.r_in
         assert label == Status.INSIDE
 
     def test_exit_hypothesis_departs_at_arm(self, geom):
         h = geom.exit_hypothesis(2)
         assert h.exit_arm == 2
-        assert h.exit_angle == pytest.approx(math.pi)
-        rho, _, label = path_pose(h, h.total_length)
+        assert exit_angle(h) == pytest.approx(math.pi)
+        rho, _, label = h.pose(h.total_length)
         assert label == Status.EXIT
         assert rho > geom.r_in + 4.5
 
     def test_circle_hypothesis_wraps(self, geom):
         h = geom.circle_hypothesis()
-        rho, theta, _ = path_pose(h, geom.r_in * (TWO_PI + 0.5))
+        rho, theta, _ = h.pose(geom.r_in * (TWO_PI + 0.5))
         assert rho == geom.r_in
         assert theta == pytest.approx(0.5)
