@@ -35,7 +35,7 @@ stay reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Mapping, Optional
 
 import numpy as np
@@ -72,6 +72,8 @@ class AgentParams:
     deadlock_accel: float = 10.0
     deadlock_speed_eps: float = 1e-6
     estimator_ego_uses_true_weight: bool = False
+    # ego plus at most 2 ahead and 1 behind are ever observed, so the default
+    # of 4 never trims; only caps of 1-3 drop the angularly farthest
     player_cap: int = 4
 
     def __post_init__(self):
@@ -90,20 +92,14 @@ class AgentParams:
             raise ValueError("player_cap must be at least 1")
 
 
-@dataclass(frozen=True)
-class ReplayInput:
-    """Rollout inputs for one player and their rollout, frozen at decision time."""
-
-    path: NavigationPath
-    arclen: float
-    v: float
-    status: Status
-    roll: Rollout
-
-
 @dataclass
 class AgentState:
-    """Everything one vehicle remembers between steps."""
+    """Everything one vehicle remembers between steps.
+
+    ``rolls`` (every player's rollout, ego included) and ``order`` freeze the
+    last game this vehicle played; the estimator replays it when a neighbour
+    strays from its prediction in ``pred_xy``.
+    """
 
     vid: int
     w_agg: float
@@ -112,9 +108,8 @@ class AgentState:
     est_path: Dict[int, NavigationPath] = field(default_factory=dict)
     prev_obs: Dict[int, Configuration] = field(default_factory=dict)
     pred_xy: Dict[int, tuple] = field(default_factory=dict)
-    replay: Dict[int, ReplayInput] = field(default_factory=dict)
-    ego_replay: Optional[ReplayInput] = None
-    order_weights: Dict[int, float] = field(default_factory=dict)
+    rolls: Dict[int, Rollout] = field(default_factory=dict)
+    order: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -210,30 +205,18 @@ def estimate_path(observed: Configuration, geometry: Geometry,
     return _nearest_entry(observed, geometry)
 
 
-def _replay_input(path, arclen, v, status, accels, horizon, delta, diameter,
-                  cache) -> ReplayInput:
-    key = ("roll", id(path), arclen, v, int(status))
-    roll = cache.get(key)
-    if roll is None:
-        roll = rollout(path, arclen, v, status, accels, horizon, delta, diameter)
-        cache[key] = roll
-    return ReplayInput(path, arclen, v, status, roll)
-
-
-def _project_cached(path, x, y, cache):
-    key = ("proj", id(path), x, y)
-    s = cache.get(key)
-    if s is None:
-        s = path.project(x, y)
-        cache[key] = s
-    return s
-
-
 def decide(state: AgentState, obs: Mapping[int, Configuration], ego_path: NavigationPath,
            geometry: Geometry, cost_params: CostParams, game_params: GameParams,
            agent_params: AgentParams, delta: float, cache: Optional[dict] = None,
            diameter: float = VEHICLE_DIAMETER) -> DecisionResult:
-    """One decision round for ``state.vid`` given its observation ``obs``."""
+    """One decision round for ``state.vid`` given its observation ``obs``.
+
+    ``update_estimates`` must have run on the same ``obs``: every neighbour's
+    weight and hypothesis path are read from ``state``.  ``cache`` memoises
+    neighbour projections and rollouts within one step under the key
+    ``(id(path), obs[vid])``, so observers that hold the same hypothesis for
+    the same vehicle share its rollout.
+    """
     if cache is None:
         cache = {}
     ego_id = state.vid
@@ -246,24 +229,24 @@ def decide(state: AgentState, obs: Mapping[int, Configuration], ego_path: Naviga
         keep = {ego_id} | {j for _, j in ranked[:agent_params.player_cap - 1]}
         ids = sorted(keep)
 
-    weights = {vid: state.w_agg if vid == ego_id
-               else state.w_hat.get(vid, agent_params.initial_estimate)
-               for vid in ids}
+    weights = {vid: state.w_agg if vid == ego_id else state.w_hat[vid] for vid in ids}
     accels, horizon = game_params.strategy_accels, game_params.horizon
-    inputs = {}
+    rolls = {ego_id: rollout(ego_path, ego.arclen, ego.v, ego.status, accels, horizon,
+                             delta, diameter)}
+    arclen = {}
     for vid in ids:
         if vid == ego_id:
-            start = (ego_path, ego.arclen, ego.v, ego.status)
-        else:
-            path = state.est_path.get(vid)
-            if path is None:
-                path = estimate_path(obs[vid], geometry, eps_r=agent_params.eps_r)
-                state.est_path[vid] = path
-            x, y = obs[vid].xy()
-            start = (path, _project_cached(path, x, y, cache), obs[vid].v, obs[vid].status)
-        inputs[vid] = _replay_input(*start, accels, horizon, delta, diameter, cache)
+            continue
+        path, c = state.est_path[vid], obs[vid]
+        key = (id(path), c)
+        hit = cache.get(key)
+        if hit is None:
+            s = path.project(*c.xy())
+            hit = cache[key] = (s, rollout(path, s, c.v, c.status, accels, horizon,
+                                           delta, diameter))
+        arclen[vid], rolls[vid] = hit
 
-    costs, _, _ = payoff_tensors([inputs[v].roll for v in ids],
+    costs, _, _ = payoff_tensors([rolls[v] for v in ids],
                                  [weights[v] for v in ids], cost_params, geometry.r_in)
     axis_of = {vid: k for k, vid in enumerate(ids)}
     order = tuple(order_players(weights))
@@ -280,40 +263,25 @@ def decide(state: AgentState, obs: Mapping[int, Configuration], ego_path: Naviga
             accel = agent_params.deadlock_accel
             override = True
 
-    # freeze what the estimator needs to check and replay this decision
-    state.ego_replay = inputs[ego_id]
-    state.replay = {v: inputs[v] for v in ids if v != ego_id}
-    state.order_weights = dict(weights)
-    state.pred_xy = {}
-    for vid in ids:
-        if vid == ego_id:
-            continue
-        ri = inputs[vid]
-        rho0, theta0, _ = ri.path.pose(ri.arclen)
-        bound = Configuration(r=rho0, theta=theta0, v=ri.v, status=ri.status,
-                              arclen=ri.arclen)
-        nxt = step(bound, float(accels[profile[vid]]), delta, ri.path, diameter)
-        state.pred_xy[vid] = nxt.xy()
+    state.rolls, state.order = rolls, order
+    state.pred_xy = {vid: step(replace(obs[vid], arclen=s), float(accels[profile[vid]]),
+                               delta, state.est_path[vid], diameter).xy()
+                     for vid, s in arclen.items()}
     return DecisionResult(accel=accel, override=override, profile=profile,
                           order=order, weights=weights)
 
 
 def _reestimate(state: AgentState, j: int, obs_j: Configuration,
                 cost_params: CostParams, agent_params: AgentParams,
-                delta: float) -> float:
+                delta: float, r_in: float) -> float:
     """Replay last step's two-player game under every candidate weight; pick the best fit.
 
-    The games for all weights are solved as one batch.  The rollouts are the
-    ones frozen at decision time.
+    The games for all weights are solved as one batch, on the rollouts and
+    the decision order frozen in ``state`` at decision time.
     """
-    ri_e, ri_j = state.ego_replay, state.replay[j]
-    ids = sorted((state.vid, j))
-    rolls = {state.vid: ri_e.roll, j: ri_j.roll}
-    _, safe, speed = payoff_tensors([rolls[v] for v in ids], [0.0, 0.0], cost_params,
-                                    ri_e.path.r_in)
+    rolls, ids = state.rolls, sorted((state.vid, j))
+    _, safe, speed = payoff_tensors([rolls[v] for v in ids], [0.0, 0.0], cost_params, r_in)
     axis_of = {vid: k for k, vid in enumerate(ids)}
-    order_axes = [axis_of[v] for v in order_players(
-        {v: state.order_weights[v] for v in ids})]
     grid = np.array(agent_params.w_grid, dtype=float)
     w_ego = (np.full_like(grid, state.w_agg)
              if agent_params.estimator_ego_uses_true_weight else grid)
@@ -321,8 +289,8 @@ def _reestimate(state: AgentState, j: int, obs_j: Configuration,
     for k, vid in enumerate(ids):
         wk = (w_ego if vid == state.vid else grid)[:, None, None]
         costs.append((1.0 - wk) * safe[k] + wk * speed[k])
-    prof, _ = tensor_equilibrium(costs, order_axes)
-    v_prev = ri_j.v
+    prof, _ = tensor_equilibrium(costs, [axis_of[v] for v in state.order if v in axis_of])
+    v_prev = rolls[j].v[0, 0]
     a_obs = (obs_j.v - v_prev) / delta
     v1 = rolls[j].v[prof[:, axis_of[j]], 1]
     err = np.abs((v1 - v_prev) / delta - a_obs)
@@ -345,16 +313,10 @@ def update_estimates(state: AgentState, obs: Mapping[int, Configuration],
             state.est_path[vid] = estimate_path(c, geometry, eps_r=agent_params.eps_r)
             continue
         pred = state.pred_xy.get(vid)
-        if pred is None:
-            if vid not in state.est_path:
-                state.est_path[vid] = estimate_path(
-                    c, geometry, prev=state.prev_obs.get(vid), eps_r=agent_params.eps_r)
-            continue
         x, y = c.xy()
-        if math.hypot(x - pred[0], y - pred[1]) > agent_params.eps_dev:
-            if vid in state.replay and state.ego_replay is not None:
-                state.w_hat[vid] = _reestimate(state, vid, c, cost_params,
-                                               agent_params, delta)
+        if pred is not None and math.hypot(x - pred[0], y - pred[1]) > agent_params.eps_dev:
+            state.w_hat[vid] = _reestimate(state, vid, c, cost_params, agent_params,
+                                           delta, geometry.r_in)
             state.est_path[vid] = estimate_path(
                 c, geometry, prev=state.prev_obs.get(vid), eps_r=agent_params.eps_r)
     state.prev_obs = {vid: obs[vid] for vid in obs if vid != ego_id}

@@ -32,7 +32,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from multiprocessing import Pool
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -47,11 +47,6 @@ from .sim import RunResult, min_pairwise, run_simulation
 
 TRACE_COLUMNS = ("t", "id", "r", "theta", "v", "status", "accel",
                  "est_agg_of_each_neighbour", "override_flag")
-SUMMARY_COLUMNS = ("n_vehicles", "runs", "collisions", "collision_rate_pct",
-                   "avg_min_distance_m", "avg_mission_time_s",
-                   "p25_min_distance_m", "p50_min_distance_m",
-                   "p75_min_distance_m", "p25_mission_s", "p50_mission_s",
-                   "p75_mission_s", "censored_runs")
 BUCKET_LO, BUCKET_HI, BUCKET_WIDTH = 0.2, 0.8, 0.1
 _TRACE_NAME = re.compile(r"^run_(\d+)\.csv$")
 _DIR_NAME = re.compile(r"^n(\d+)$")
@@ -97,6 +92,9 @@ class SummaryRow:
     p50_mission_s: float
     p75_mission_s: float
     censored_runs: int
+
+
+SUMMARY_COLUMNS = tuple(f.name for f in fields(SummaryRow))
 
 
 @dataclass(frozen=True)

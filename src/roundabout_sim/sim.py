@@ -199,38 +199,31 @@ def run_simulation(n_vehicles: int, seed: int, geometry: Geometry,
             break
         configs = {vid: v.config for vid, v in live.items()}
         cache: dict = {}
-        accel_of: Dict[int, float] = {}
-        est_of: Dict[int, Dict[int, float]] = {}
-        override_of: Dict[int, bool] = {}
-        pred_of: Dict[int, Dict[int, float]] = {}
+        now: List[TraceRow] = []
         for vid in sorted(live):
             cfg = configs[vid]
             if cfg.status == Status.EXIT:
                 # out of the negotiation: just get back up to speed and leave
-                accel_of[vid] = _cruise_accel(cfg.v, cost_params.v_l,
-                                              sim_params.delta,
-                                              game_params.strategy_accels)
-                est_of[vid], override_of[vid], pred_of[vid] = {}, False, {}
-                continue
-            obs = observe(vid, configs, geometry, cost_params)
-            update_estimates(agents[vid], obs, geometry, cost_params, agent_params,
-                             sim_params.delta)
-            d = decide(agents[vid], obs, live[vid].path, geometry,
-                       cost_params, game_params, agent_params,
-                       sim_params.delta, cache, diameter)
-            accel_of[vid], est_of[vid], override_of[vid] = d.accel, d.weights, d.override
-            pred_of[vid] = {j: float(game_params.strategy_accels[d.profile[j]])
-                            for j in d.profile if j != vid}
-        for vid in sorted(live):
-            c = live[vid].config
-            rows.append(TraceRow(t=t, vid=vid, r=c.r, theta=c.theta, v=c.v,
-                                 status=c.status, accel=accel_of[vid],
-                                 est=est_of[vid], override=override_of[vid],
-                                 pred=pred_of[vid]))
-        for vid in sorted(live):
-            veh = live[vid]
-            veh.config = step(veh.config, accel_of[vid], sim_params.delta,
-                              veh.path, diameter)
+                accel = _cruise_accel(cfg.v, cost_params.v_l, sim_params.delta,
+                                      game_params.strategy_accels)
+                est, override, pred = {}, False, {}
+            else:
+                obs = observe(vid, configs, geometry, cost_params)
+                update_estimates(agents[vid], obs, geometry, cost_params, agent_params,
+                                 sim_params.delta)
+                d = decide(agents[vid], obs, live[vid].path, geometry,
+                           cost_params, game_params, agent_params,
+                           sim_params.delta, cache, diameter)
+                accel, est, override = d.accel, d.weights, d.override
+                pred = {j: float(game_params.strategy_accels[d.profile[j]])
+                        for j in d.profile if j != vid}
+            now.append(TraceRow(t=t, vid=vid, r=cfg.r, theta=cfg.theta, v=cfg.v,
+                                status=cfg.status, accel=accel, est=est,
+                                override=override, pred=pred))
+        rows.extend(now)
+        for row in now:
+            veh = live[row.vid]
+            veh.config = step(veh.config, row.accel, sim_params.delta, veh.path, diameter)
             if veh.exit_step is None and veh.config.status == Status.EXIT:
                 veh.exit_step = t + 1
             if veh.config.status == Status.EXIT and veh.config.r > removal_r:

@@ -22,7 +22,7 @@ from typing import Callable, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from roundabout_sim.cost import CostParams, horizon_weights
-from roundabout_sim.dynamics import VEHICLE_DIAMETER, Configuration, advance_status, rollout
+from roundabout_sim.dynamics import VEHICLE_DIAMETER, Configuration, advance_status
 from roundabout_sim.game import DEFAULT_ACCELS, order_players
 from roundabout_sim.geometry import (
     _ARC,
@@ -469,21 +469,18 @@ def reference_payoff_tensors(trajs, w, params, r_in):
     return cost_out, safe_out, speed_out
 
 
-def reference_reestimate(state, j, obs_j, cost_params, game_params, agent_params,
-                         delta, diameter=VEHICLE_DIAMETER):
-    """The estimator's weight fit: fresh rollouts and one equilibrium per weight."""
-    ri_e, ri_j = state.ego_replay, state.replay[j]
+def reference_reestimate(state, j, obs_j, cost_params, agent_params, delta, r_in):
+    """The estimator's weight fit on the frozen game: one equilibrium per weight."""
     ids = sorted((state.vid, j))
-    rolls = {v: rollout(ri.path, ri.arclen, ri.v, ri.status, game_params.strategy_accels,
-                        game_params.horizon, delta, diameter)
-             for v, ri in ((state.vid, ri_e), (j, ri_j))}
-    trajs = [rolls[v] for v in ids]
-    _, safe, speed = reference_payoff_tensors(trajs, [0.0, 0.0], cost_params,
-                                              ri_e.path.r_in)
+    rolls = state.rolls
+    _, safe, speed = reference_payoff_tensors([rolls[v] for v in ids], [0.0, 0.0],
+                                              cost_params, r_in)
     axis_of = {vid: k for k, vid in enumerate(ids)}
-    order_axes = [axis_of[v] for v in order_players(
-        {v: state.order_weights[v] for v in ids})]
-    v_prev = ri_j.v
+    # the game's order came from these same two weights (w_hat[j] is only
+    # rewritten after the fit)
+    order_axes = [axis_of[v] for v in order_players({state.vid: state.w_agg,
+                                                     j: state.w_hat[j]})]
+    v_prev = float(rolls[j].v[0, 0])
     a_obs = (obs_j.v - v_prev) / delta
     prev_est = state.w_hat[j]
     best = None

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from oracles import reference_reestimate
-from roundabout_sim import agent
+from roundabout_sim import agent, sim
 from roundabout_sim.agent import (
     AgentParams,
     AgentState,
@@ -16,7 +16,7 @@ from roundabout_sim.agent import (
     update_estimates,
 )
 from roundabout_sim.cost import CostParams
-from roundabout_sim.dynamics import Configuration
+from roundabout_sim.dynamics import Configuration, rollout
 from roundabout_sim.game import GameParams
 from roundabout_sim.geometry import (
     Maneuver,
@@ -165,44 +165,100 @@ class TestReestimateOracle:
         for trial in range(60):
             ego_id, j = (0, 1) if trial % 2 else (5, 2)
             state = fresh_state(vid=ego_id, w=float(rng.choice([0.2, 0.5, 0.8])))
-            state.w_hat[j] = float(rng.choice(ap.w_grid))
+            w_j = float(rng.choice(ap.w_grid))
             ego_s = float(rng.uniform(0.0, 100.0))
             obs = {ego_id: on_circle(ego_s / geom.r_in, v=float(rng.uniform(0.0, 12.0)),
                                      arclen=ego_s),
                    j: on_circle(ego_s / geom.r_in + float(rng.uniform(-0.8, 0.8)),
                                 v=float(rng.uniform(0.0, 12.0)))}
+            update_estimates(state, obs, geom, P, ap, DELTA)
+            state.w_hat[j] = w_j
             decide(state, obs, circle, geom, P, GP, ap, DELTA)
             seen = obs[j]
             for v_now in (0.0, seen.v - 2.5, seen.v, seen.v + 0.5, seen.v + 7.5):
                 now = on_circle(seen.theta, v=max(v_now, 0.0))
-                got = agent._reestimate(state, j, now, P, ap, DELTA)
-                assert got == reference_reestimate(state, j, now, P, GP, ap, DELTA)
+                got = agent._reestimate(state, j, now, P, ap, DELTA, geom.r_in)
+                assert got == reference_reestimate(state, j, now, P, ap, DELTA, geom.r_in)
                 picked.add(got)
         assert len(picked) > 1
 
     @pytest.mark.parametrize("true_weight", [False, True])
     def test_every_reestimate_of_a_run(self, geom, monkeypatch, true_weight):
         ap = AgentParams(estimator_ego_uses_true_weight=true_weight)
-        sp = SimParams()
         batched = agent._reestimate
         calls = []
 
-        def checked(state, j, obs_j, cost_params, agent_params, delta):
-            got = batched(state, j, obs_j, cost_params, agent_params, delta)
-            assert got == reference_reestimate(state, j, obs_j, cost_params, GP,
-                                               agent_params, delta, sp.vehicle_diameter)
+        def checked(state, j, obs_j, cost_params, agent_params, delta, r_in):
+            got = batched(state, j, obs_j, cost_params, agent_params, delta, r_in)
+            assert got == reference_reestimate(state, j, obs_j, cost_params,
+                                               agent_params, delta, r_in)
             calls.append(got)
             return got
 
         monkeypatch.setattr(agent, "_reestimate", checked)
-        run_simulation(6, 11, geom, P, GP, ap, sp)
+        run_simulation(6, 11, geom, P, GP, ap, SimParams())
         assert len(calls) > 10
+
+
+class TestFrozenGame:
+    """``state.rolls`` is the game just played; the per-step memo only saves work."""
+
+    def test_frozen_rollouts_equal_fresh_ones(self, geom, monkeypatch):
+        real = sim.decide
+        players = []
+
+        def checked(state, obs, ego_path, geometry, cost_params, game_params,
+                    agent_params, delta, cache, diameter):
+            d = real(state, obs, ego_path, geometry, cost_params, game_params,
+                     agent_params, delta, cache, diameter)
+            assert set(state.rolls) == set(d.profile)
+            for vid, roll in state.rolls.items():
+                c = obs[vid]
+                if vid == state.vid:
+                    path, s = ego_path, c.arclen
+                else:
+                    path = state.est_path[vid]
+                    s = path.project(*c.xy())
+                fresh = rollout(path, s, c.v, c.status, game_params.strategy_accels,
+                                game_params.horizon, delta, diameter)
+                for name in ("theta", "rho", "v", "status"):
+                    got, want = getattr(roll, name), getattr(fresh, name)
+                    assert got.dtype == want.dtype and got.shape == want.shape
+                    assert got.tobytes() == want.tobytes(), (vid, name)
+            players.append(len(state.rolls))
+            return d
+
+        monkeypatch.setattr(sim, "decide", checked)
+        run_simulation(6, 11, geom, P, GP, AP, SimParams())
+        assert len(players) > 100 and max(players) >= 3
+
+    def test_memo_is_output_neutral_and_used(self, geom, monkeypatch):
+        real_rollout, real_decide = agent.rollout, sim.decide
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return real_rollout(*args)
+
+        def runs():
+            calls.clear()
+            return [run_simulation(8, seed, geom).rows for seed in (42, 43, 44)], len(calls)
+
+        monkeypatch.setattr(agent, "rollout", counting)
+        shared_rows, shared_calls = runs()
+        monkeypatch.setattr(sim, "decide",
+                            lambda *args: real_decide(*args[:8], None, *args[9:]))
+        fresh_rows, fresh_calls = runs()
+        assert shared_rows == fresh_rows
+        assert any(row.pred for row in shared_rows[0])
+        assert shared_calls < fresh_calls
 
 
 class TestDecide:
     def test_lone_slow_vehicle_floors_it(self, geom):
         state = fresh_state(vid=3)
         obs = {3: on_circle(2.0, v=1.0, arclen=40.0)}
+        update_estimates(state, obs, geom, P, AP, DELTA)
         d = decide(state, obs, geom.circle_hypothesis(), geom, P, GP, AP, DELTA)
         assert d.accel == 30.0
         assert not d.override
@@ -215,6 +271,7 @@ class TestDecide:
         results = []
         for _ in range(2):
             state = fresh_state(vid=0, seed=7)
+            update_estimates(state, obs, geom, P, AP, DELTA)
             results.append(decide(state, dict(obs), geom.circle_hypothesis(),
                                   geom, P, GP, AP, DELTA))
         assert results[0] == results[1]
@@ -223,16 +280,18 @@ class TestDecide:
         obs = {0: on_circle(0.0, arclen=10.0),
                1: on_circle(0.2), 2: on_circle(0.5), 3: on_circle(1.1),
                4: on_circle(6.0)}
-        d = decide(fresh_state(vid=0), obs, geom.circle_hypothesis(),
-                   geom, P, GP, AP, DELTA)
+        state = fresh_state(vid=0)
+        update_estimates(state, obs, geom, P, AP, DELTA)
+        d = decide(state, obs, geom.circle_hypothesis(), geom, P, GP, AP, DELTA)
         # cap 4: ego + gaps 0.2, 0.28 (ccw 6.0), 0.5; vehicle 3 is trimmed
         assert sorted(d.weights) == [0, 1, 2, 4]
         assert sorted(d.profile) == [0, 1, 2, 4]
 
     def test_ego_plays_true_weight_neighbours_estimates(self, geom):
         state = fresh_state(vid=0, w=0.7)
-        state.w_hat[1] = 0.2
         obs = {0: on_circle(0.0, arclen=10.0), 1: on_circle(0.4)}
+        update_estimates(state, obs, geom, P, AP, DELTA)
+        state.w_hat[1] = 0.2
         d = decide(state, obs, geom.circle_hypothesis(), geom, P, GP, AP, DELTA)
         assert d.weights == {0: 0.7, 1: 0.2}
         assert d.order == (0, 1)  # higher weight decides first
@@ -240,11 +299,12 @@ class TestDecide:
     def test_replay_snapshot_frozen(self, geom):
         state = fresh_state(vid=0)
         obs = {0: on_circle(0.0, v=6.0, arclen=10.0), 1: on_circle(0.4, v=3.0)}
+        update_estimates(state, obs, geom, P, AP, DELTA)
         decide(state, obs, geom.circle_hypothesis(), geom, P, GP, AP, DELTA)
-        assert state.ego_replay is not None and state.ego_replay.v == 6.0
-        assert set(state.replay) == {1}
+        assert state.rolls[0].v[0, 0] == 6.0 and state.rolls[1].v[0, 0] == 3.0
+        assert set(state.rolls) == {0, 1}
         assert set(state.pred_xy) == {1}
-        assert set(state.order_weights) == {0, 1}
+        assert sorted(state.order) == [0, 1]
 
 
 class TestDeadlockOverride:
@@ -257,8 +317,9 @@ class TestDeadlockOverride:
         for seed in range(6):
             state = fresh_state(vid=0, seed=seed)
             twin = np.random.default_rng(seed)
-            d = decide(state, self.stopped_obs(), geom.circle_hypothesis(),
-                       geom, P, GP, AP, DELTA)
+            obs = self.stopped_obs()
+            update_estimates(state, obs, geom, P, AP, DELTA)
+            d = decide(state, obs, geom.circle_hypothesis(), geom, P, GP, AP, DELTA)
             assert d.override == (twin.random() < AP.deadlock_prob)
             if d.override:
                 assert d.accel == AP.deadlock_accel
@@ -270,6 +331,7 @@ class TestDeadlockOverride:
         state = fresh_state(vid=0, seed=2)
         assert np.random.default_rng(2).random() < AP.deadlock_prob
         obs = self.stopped_obs(ego_status=Status.ENTER)
+        update_estimates(state, obs, geom, P, AP, DELTA)
         path = geom.path(PathKind(Maneuver.GO_STRAIGHT, 0))
         d = decide(state, obs, path, geom, P, GP, AP, DELTA)
         assert not d.override
@@ -280,5 +342,6 @@ class TestDeadlockOverride:
         state = fresh_state(vid=0, seed=2)
         obs = self.stopped_obs()
         obs[1] = Configuration(r=20.0, theta=0.4, v=2.0, status=Status.INSIDE)
+        update_estimates(state, obs, geom, P, AP, DELTA)
         decide(state, obs, geom.circle_hypothesis(), geom, P, GP, AP, DELTA)
         assert state.rng.random() == np.random.default_rng(2).random()
