@@ -43,7 +43,7 @@ import numpy as np
 from .cost import CostParams, payoff_tensors
 from .dynamics import VEHICLE_DIAMETER, Configuration, Rollout, rollout, step
 from .game import GameParams, order_players, tensor_equilibrium
-from .geometry import Geometry, Maneuver, NavigationPath, PathKind, Status
+from .geometry import Geometry, NavigationPath, Status
 
 TWO_PI = 2.0 * math.pi
 
@@ -117,7 +117,6 @@ class DecisionResult:
     accel: float
     override: bool
     profile: Dict[int, int]     # strategy index per game participant
-    order: tuple                # decision order used
     weights: Dict[int, float]   # weight table used (ego entry is its true weight)
 
 
@@ -155,14 +154,6 @@ def observe(ego_id: int, configs: Mapping[int, Configuration], geometry: Geometr
     return out
 
 
-def _wrap_pi(angle):
-    return (angle + math.pi) % TWO_PI - math.pi
-
-
-def _nearest_arm(theta, arm_angles):
-    return min(range(len(arm_angles)), key=lambda m: abs(_wrap_pi(arm_angles[m] - theta)))
-
-
 def _next_arm_ahead(theta, arm_angles, grace=0.3):
     # smallest ccw angle to an arm, allowing `grace` of overshoot for a
     # vehicle already abreast of its departure point
@@ -173,35 +164,32 @@ def _next_arm_ahead(theta, arm_angles, grace=0.3):
 def _nearest_entry(observed: Configuration, geometry: Geometry) -> NavigationPath:
     x, y = observed.xy()
     best = None
-    for arm in range(geometry.spec.ways):
-        for maneuver in Maneuver:
-            h = geometry.entry_hypothesis(PathKind(maneuver, arm))
-            s = h.project(x, y)
-            rho, theta, _ = h.pose(s)
-            d2 = (rho * math.cos(theta) - x) ** 2 + (rho * math.sin(theta) - y) ** 2
-            if best is None or d2 < best[0] - 1e-12:
-                best = (d2, h)
+    for h in geometry.entry_hypotheses.values():
+        s = h.project(x, y)
+        rho, theta, _ = h.pose(s)
+        d2 = (rho * math.cos(theta) - x) ** 2 + (rho * math.sin(theta) - y) ** 2
+        if best is None or d2 < best[0] - 1e-12:
+            best = (d2, h)
     return best[1]
 
 
 def estimate_path(observed: Configuration, geometry: Geometry,
                   prev: Optional[Configuration] = None,
                   eps_r: float = 0.5) -> NavigationPath:
-    """Hypothesis path for an observed vehicle.
+    """Hypothesis path for an observed vehicle that is entering or inside.
 
     Entering vehicles are matched to the nearest entry geometry; vehicles on
     the driving circle are assumed to circulate until contradicted; a vehicle
     drifting radially outward (needs the previous observation, ``prev``) is
-    assumed to exit at the next arm ahead.
+    assumed to exit at the next arm ahead.  Exited vehicles never reach it:
+    ``observe`` drops them.
     """
-    if observed.status == Status.EXIT:
-        return geometry.exit_hypothesis(_nearest_arm(observed.theta, geometry.arm_angles))
     if observed.status == Status.ENTER:
         return _nearest_entry(observed, geometry)
     if observed.r <= geometry.r_in + eps_r:
-        return geometry.circle_hypothesis()
+        return geometry.circle
     if prev is not None and observed.r > prev.r + 1e-9:
-        return geometry.exit_hypothesis(_next_arm_ahead(observed.theta, geometry.arm_angles))
+        return geometry.exit_hypotheses[_next_arm_ahead(observed.theta, geometry.arm_angles)]
     return _nearest_entry(observed, geometry)
 
 
@@ -246,11 +234,11 @@ def decide(state: AgentState, obs: Mapping[int, Configuration], ego_path: Naviga
                                            delta, diameter))
         arclen[vid], rolls[vid] = hit
 
-    costs, _, _ = payoff_tensors([rolls[v] for v in ids],
-                                 [weights[v] for v in ids], cost_params, geometry.r_in)
+    costs = payoff_tensors([rolls[v] for v in ids], [weights[v] for v in ids],
+                           cost_params, geometry.r_in)
     axis_of = {vid: k for k, vid in enumerate(ids)}
     order = tuple(order_players(weights))
-    prof, _ = tensor_equilibrium(costs, [axis_of[v] for v in order])
+    prof = tensor_equilibrium(costs, [axis_of[v] for v in order])
     profile = {vid: prof[axis_of[vid]] for vid in ids}
     accel = float(accels[profile[ego_id]])
 
@@ -267,8 +255,7 @@ def decide(state: AgentState, obs: Mapping[int, Configuration], ego_path: Naviga
     state.pred_xy = {vid: step(replace(obs[vid], arclen=s), float(accels[profile[vid]]),
                                delta, state.est_path[vid], diameter).xy()
                      for vid, s in arclen.items()}
-    return DecisionResult(accel=accel, override=override, profile=profile,
-                          order=order, weights=weights)
+    return DecisionResult(accel=accel, override=override, profile=profile, weights=weights)
 
 
 def _reestimate(state: AgentState, j: int, obs_j: Configuration,
@@ -276,20 +263,18 @@ def _reestimate(state: AgentState, j: int, obs_j: Configuration,
                 delta: float, r_in: float) -> float:
     """Replay last step's two-player game under every candidate weight; pick the best fit.
 
-    The games for all weights are solved as one batch, on the rollouts and
-    the decision order frozen in ``state`` at decision time.
+    The games for all weights are priced by one ``payoff_tensors`` call with
+    a column of candidate weights and solved as one batch, on the rollouts
+    and the decision order frozen in ``state`` at decision time.
     """
     rolls, ids = state.rolls, sorted((state.vid, j))
-    _, safe, speed = payoff_tensors([rolls[v] for v in ids], [0.0, 0.0], cost_params, r_in)
-    axis_of = {vid: k for k, vid in enumerate(ids)}
-    grid = np.array(agent_params.w_grid, dtype=float)
+    grid = np.array(agent_params.w_grid, dtype=float)[:, None, None]
     w_ego = (np.full_like(grid, state.w_agg)
              if agent_params.estimator_ego_uses_true_weight else grid)
-    costs = []
-    for k, vid in enumerate(ids):
-        wk = (w_ego if vid == state.vid else grid)[:, None, None]
-        costs.append((1.0 - wk) * safe[k] + wk * speed[k])
-    prof, _ = tensor_equilibrium(costs, [axis_of[v] for v in state.order if v in axis_of])
+    costs = payoff_tensors([rolls[v] for v in ids],
+                           [w_ego if v == state.vid else grid for v in ids], cost_params, r_in)
+    axis_of = {vid: k for k, vid in enumerate(ids)}
+    prof = tensor_equilibrium(costs, [axis_of[v] for v in state.order if v in axis_of])
     v_prev = rolls[j].v[0, 0]
     a_obs = (obs_j.v - v_prev) / delta
     v1 = rolls[j].v[prof[:, axis_of[j]], 1]

@@ -56,8 +56,6 @@ _DIR_NAME = re.compile(r"^n(\d+)$")
 class RunStats:
     """The per-run facts the report needs (slim enough to cross a Pool)."""
 
-    n_vehicles: int
-    seed: int
     collided: bool
     censored: bool
     min_distance: float
@@ -120,8 +118,6 @@ def run_stats(result: RunResult) -> RunStats:
     if result.true_w:
         avg_w = _mean([result.true_w[vid] for vid in sorted(result.true_w)])
     return RunStats(
-        n_vehicles=result.n_vehicles,
-        seed=result.seed,
         collided=result.collision is not None,
         censored=result.censored,
         min_distance=result.min_distance,
@@ -170,10 +166,8 @@ def trace_stats(path: str, diameter: float = VEHICLE_DIAMETER) -> RunStats:
     inside (and no collision) was censored at the step cap.
     """
     name = os.path.basename(path)
-    m = _TRACE_NAME.match(name)
-    if m is None:
+    if _TRACE_NAME.match(name) is None:
         raise TraceFormatError(f"{name}: trace files are named run_<seed>.csv")
-    seed = int(m.group(1))
 
     by_t: Dict[float, list] = {}
     first_exit: Dict[int, float] = {}
@@ -200,12 +194,15 @@ def trace_stats(path: str, diameter: float = VEHICLE_DIAMETER) -> RunStats:
                         if int(k) == vid:
                             self_w[vid] = float(v)
                             break
-    except (ValueError, IndexError) as exc:
+    except (ValueError, csv.Error) as exc:
         if isinstance(exc, TraceFormatError):
             raise
         raise TraceFormatError(f"{name}: {exc}")
-
     vids = sorted(last_status)
+    if not vids:
+        raise TraceFormatError(f"{name}: no data rows")
+    if any(vid not in self_w for vid in vids):
+        raise TraceFormatError(f"{name}: a vehicle never lists its own weight")
     min_distance = math.inf
     collided = False
     for t in sorted(by_t):
@@ -218,17 +215,14 @@ def trace_stats(path: str, diameter: float = VEHICLE_DIAMETER) -> RunStats:
 
     finished = all(last_status[vid] == "exit" for vid in vids)
     mission = None
-    if not collided and finished and vids:
+    if not collided and finished:
         mission = _mean([first_exit[vid] for vid in vids])
-    avg_w = _mean([self_w[vid] for vid in vids]) if vids else None
     return RunStats(
-        n_vehicles=len(vids),
-        seed=seed,
         collided=collided,
         censored=not collided and not finished,
         min_distance=min_distance,
         mission_mean_s=mission,
-        avg_w=avg_w,
+        avg_w=_mean([self_w[vid] for vid in vids]),
     )
 
 

@@ -133,8 +133,6 @@ def _parse_campaign(value: str, line_no: int) -> CampaignRow:
     seed = int(m.group(3)) if m.group(3) is not None else None
     if n < 1:
         raise ConfigError(f"line {line_no}: campaign needs at least 1 vehicle")
-    if runs < 0:
-        raise ConfigError(f"line {line_no}: campaign run count must be >= 0")
     return CampaignRow(n, runs, seed)
 
 

@@ -30,7 +30,9 @@ can shrink to ``D_c / sqrt(2)`` of actual separation.
 
 ``payoff_tensors`` evaluates these costs over whole strategy spaces at once:
 it turns per-player rollout bundles into discounted-cost tensors with one
-axis per player, which the game solver consumes directly.  The scalar
+axis per player, which the game solver consumes directly.  A weight given as
+a column of candidates adds a leading batch axis, which is how the estimator
+prices one game under every candidate aggressiveness in one call.  The scalar
 per-vehicle forms of the same terms live in ``tests/oracles.py`` as the
 independent reference the tensors are checked against.
 """
@@ -148,8 +150,7 @@ def _nearest_safe(gap, cost, wts: np.ndarray) -> list:
             for p in range(K)]
 
 
-def payoff_tensors(trajs: Sequence, w: Sequence[float], params: CostParams,
-                   r_in: float):
+def payoff_tensors(trajs: Sequence, w: Sequence, params: CostParams, r_in: float) -> list:
     """Discounted game costs over the joint strategy space.
 
     ``trajs`` holds one rollout bundle per player *in ascending vehicle-id
@@ -157,9 +158,10 @@ def payoff_tensors(trajs: Sequence, w: Sequence[float], params: CostParams,
     ``theta/rho/v/status`` arrays of shape ``(S, h)``.  All players share one
     strategy alphabet, so ``S`` must be equal across bundles; otherwise
     ``ValueError`` is raised.  Stages where a vehicle has exited contribute
-    no pair terms.  Returns ``(costs, safe, speed)``, three lists of
-    ``(S,) * K`` tensors, where
-    ``costs[k] = (1-w[k])*safe[k] + w[k]*speed[k]``.
+    no pair terms.  Returns one ``(S,) * K`` tensor per player,
+    ``(1 - w[k]) * safe[k] + w[k] * speed[k]``.  A weight may instead be an
+    array of shape ``(B,) + (1,) * K``, one weight per game of a batch; that
+    player's tensor is then ``(B,) + (S,) * K``.
 
     Gaps, distances, candidacy and side costs depend on the two members of
     a pair only, so they are computed once for all ordered pairs in pair
@@ -173,21 +175,17 @@ def payoff_tensors(trajs: Sequence, w: Sequence[float], params: CostParams,
     stat = np.array([t.status for t in trajs])
     v = np.array([t.v for t in trajs])
     wts = horizon_weights(params.lam, h)
-    shape = (S,) * K
-    safe_out = (_nearest_safe(*_pair_sides(trajs, stat, params, r_in), wts)
-                if K > 1 else [np.zeros(shape)])
+    safe = (_nearest_safe(*_pair_sides(trajs, stat, params, r_in), wts)
+            if K > 1 else [np.zeros(S)])
 
     dv2 = (params.v_l - v) ** 2
     speed = np.where(v > params.v_l, params.C_o * dv2,
                      np.where(stat == int(Status.ENTER), params.C_en * dv2,
                               params.C_in * dv2))
     speed_sums = (speed * wts).sum(axis=-1)
-
-    speed_out, cost_out = [], []
+    costs = []
     for p in range(K):
         view = [1] * K
         view[p] = S
-        speed_sum = np.broadcast_to(speed_sums[p].reshape(view), shape)
-        speed_out.append(speed_sum)
-        cost_out.append((1.0 - w[p]) * safe_out[p] + w[p] * speed_sum)
-    return cost_out, safe_out, speed_out
+        costs.append((1.0 - w[p]) * safe[p] + w[p] * speed_sums[p].reshape(view))
+    return costs

@@ -60,11 +60,12 @@ def tensor_equilibrium(costs: Sequence[np.ndarray], order: Sequence[int]):
 
     ``costs[p]`` has one axis per player (axis ``p`` is player ``p``'s own
     strategy); ``order`` lists the player axes in decision order.  Returns
-    ``(profile, payoffs)`` indexed by axis (player), not by decision order.
+    the equilibrium profile, a tuple of strategy indices by axis (player),
+    not by decision order.
 
     The tensors may carry one extra leading batch axis of length ``B``, each
     slice an independent game; the result is then a ``(B, K)`` int array of
-    profiles and a ``(B, K)`` array of payoffs.
+    profiles.
 
     The earlier movers' tensors are stacked with their player axes permuted
     into decision order, so each induction level is one ``argmin`` over the
@@ -92,7 +93,5 @@ def tensor_equilibrium(costs: Sequence[np.ndarray], order: Sequence[int]):
         chosen[a] = picks[a][at]
         at += (chosen[a],)
     if lead:
-        cols = [chosen[a] for a in range(K)]
-        return np.array(cols).T, np.array([c[(at[0], *cols)] for c in costs]).T
-    prof = tuple(int(chosen[a]) for a in range(K))
-    return prof, np.array([float(c[prof]) for c in costs])
+        return np.array([chosen[a] for a in range(K)]).T
+    return tuple(int(chosen[a]) for a in range(K))

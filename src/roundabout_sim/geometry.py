@@ -143,7 +143,6 @@ class Segment:
 class NavigationPath:
     """Immutable polyline-of-arcs path with arclen as the sole coordinate."""
 
-    kind: PathKind | None
     exit_arm: int | None
     segments: list
     r_in: float
@@ -226,16 +225,35 @@ def _point_d2(seg, t, x, y):
 
 @dataclass
 class Geometry:
-    """Validated roundabout with cached navigation and hypothesis paths."""
+    """Validated roundabout with every navigation and hypothesis path built once.
+
+    ``paths`` maps each ``PathKind`` to its full navigation path.
+    ``entry_hypotheses`` maps each ``PathKind`` (arm-major, then in
+    ``Maneuver`` order) to its entry connector followed by indefinite
+    circulation, for observed entering vehicles.  ``exit_hypotheses[arm]`` is
+    one circulation lap then a straight-maneuver exit at ``arm``; ``circle``
+    is pure circulation on the driving circle, for observed inside vehicles.
+    """
 
     spec: RoundaboutSpec
     arm_angles: tuple
 
     def __post_init__(self):
-        self._paths = {}
-        self._entry_hypo = {}
-        self._exit_hypo = {}
-        self._circle_hypo = None
+        r_in = self.spec.r_in
+        self.paths, self.entry_hypotheses = {}, {}
+        for arm in range(self.spec.ways):
+            for maneuver in Maneuver:
+                kind = PathKind(maneuver, arm)
+                self.paths[kind] = build_path(self, kind)
+                merge = self.arm_angles[arm] + self.connector_angle(maneuver) / 2.0
+                segs = _entry_segments(self, kind) + [_ring(r_in, 3 * TWO_PI * r_in, merge)]
+                self.entry_hypotheses[kind] = NavigationPath(None, segs, r_in)
+        chi = self.spec.theta2 / 2.0
+        self.exit_hypotheses = tuple(
+            NavigationPath(arm, [_ring(r_in, TWO_PI * r_in, (alpha - chi) % TWO_PI)]
+                           + _exit_segments(self, arm, chi), r_in)
+            for arm, alpha in enumerate(self.arm_angles))
+        self.circle = NavigationPath(None, [_ring(r_in, 4 * TWO_PI * r_in, 0.0)], r_in)
 
     @property
     def r_in(self):
@@ -247,39 +265,6 @@ class Geometry:
             Maneuver.GO_STRAIGHT: self.spec.theta2,
             Maneuver.TURN_LEFT: self.spec.theta3,
         }[maneuver]
-
-    def path(self, kind):
-        if kind not in self._paths:
-            self._paths[kind] = build_path(self, kind)
-        return self._paths[kind]
-
-    def entry_hypothesis(self, kind):
-        """Entry connector then indefinite circulation, for observed entering vehicles."""
-        if kind not in self._entry_hypo:
-            segs = _entry_segments(self, kind)
-            segs.append(Segment(_CIRCLE, Status.INSIDE, 3 * TWO_PI * self.r_in,
-                                radius=self.r_in, psi0=_merge_angle(self, kind), orient=1.0))
-            self._entry_hypo[kind] = NavigationPath(kind, None, segs, self.r_in)
-        return self._entry_hypo[kind]
-
-    def exit_hypothesis(self, arm):
-        """One circulation lap then a straight-maneuver exit at ``arm``."""
-        if arm not in self._exit_hypo:
-            chi = self.spec.theta2 / 2.0
-            phi_out = self.arm_angles[arm] - chi
-            segs = [Segment(_CIRCLE, Status.INSIDE, TWO_PI * self.r_in,
-                            radius=self.r_in, psi0=phi_out % TWO_PI, orient=1.0)]
-            segs.extend(_exit_segments(self, arm, chi))
-            self._exit_hypo[arm] = NavigationPath(None, arm, segs, self.r_in)
-        return self._exit_hypo[arm]
-
-    def circle_hypothesis(self):
-        """Pure circulation on the driving circle, for observed inside vehicles."""
-        if self._circle_hypo is None:
-            seg = Segment(_CIRCLE, Status.INSIDE, 4 * TWO_PI * self.r_in,
-                          radius=self.r_in, psi0=0.0, orient=1.0)
-            self._circle_hypo = NavigationPath(None, None, [seg], self.r_in)
-        return self._circle_hypo
 
 
 def build_roundabout(spec: RoundaboutSpec) -> Geometry:
@@ -311,8 +296,9 @@ def build_roundabout(spec: RoundaboutSpec) -> Geometry:
     return Geometry(spec=spec, arm_angles=angles)
 
 
-def _merge_angle(geom, kind):
-    return geom.arm_angles[kind.arm] + geom.connector_angle(kind.maneuver) / 2.0
+def _ring(r_in, length, psi0):
+    """Counter-clockwise stretch of the driving circle starting at angle ``psi0``."""
+    return Segment(_CIRCLE, Status.INSIDE, length, radius=r_in, psi0=psi0, orient=1.0)
 
 
 def _entry_segments(geom, kind):
@@ -367,8 +353,7 @@ def build_path(geometry: Geometry, kind: PathKind) -> NavigationPath:
         extent = 0.0  # degenerate shortcut: connectors meet on the circle
     segs = _entry_segments(geometry, kind)
     if extent > 1e-12:
-        segs.append(Segment(_CIRCLE, Status.INSIDE, spec.r_in * extent,
-                            radius=spec.r_in, psi0=phi_in % TWO_PI, orient=1.0))
+        segs.append(_ring(spec.r_in, spec.r_in * extent, phi_in % TWO_PI))
     segs.extend(_exit_segments(geometry, exit_arm, chi))
-    return NavigationPath(kind, exit_arm, segs, spec.r_in)
+    return NavigationPath(exit_arm, segs, spec.r_in)
 

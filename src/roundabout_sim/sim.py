@@ -135,7 +135,7 @@ def init_scenario(n_vehicles: int, geometry: Geometry, seed: int,
         kind = PathKind(maneuvers[int(rng.integers(len(maneuvers)))], arm)
         v0 = float(rng.uniform(0.0, cost_params.v_l))
         w = float(W_CHOICES[int(rng.integers(len(W_CHOICES)))])
-        path = geometry.path(kind)
+        path = geometry.paths[kind]
         s0 = sim_params.spawn_spacing * (1 - slot)
         rho, theta, _ = path.pose(s0)
         vehicles[i] = Vehicle(
@@ -195,8 +195,6 @@ def run_simulation(n_vehicles: int, seed: int, geometry: Geometry,
     t = 0
     while t < sim_params.max_steps:
         live = {vid: v for vid, v in vehicles.items() if not v.removed}
-        if not live:
-            break
         configs = {vid: v.config for vid, v in live.items()}
         cache: dict = {}
         now: List[TraceRow] = []

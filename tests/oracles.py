@@ -285,10 +285,10 @@ def reference_rollout(path, arclen0, v0, status0, accels, delta,
 def all_paths(geom):
     """Every navigation path and every hypothesis path of ``geom``."""
     kinds = [PathKind(m, a) for m in Maneuver for a in range(geom.spec.ways)]
-    paths = [geom.path(k) for k in kinds]
-    paths += [geom.entry_hypothesis(k) for k in kinds]
-    paths += [geom.exit_hypothesis(arm) for arm in range(geom.spec.ways)]
-    paths.append(geom.circle_hypothesis())
+    paths = [geom.paths[k] for k in kinds]
+    paths += [geom.entry_hypotheses[k] for k in kinds]
+    paths += list(geom.exit_hypotheses)
+    paths.append(geom.circle)
     return paths
 
 

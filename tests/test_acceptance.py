@@ -99,7 +99,7 @@ def test_solver_agrees_with_exhaustive_search():
         # small integer costs so ties are common and tie-breaks get exercised
         costs = [rng.integers(0, 7, size=sizes).astype(float) for _ in range(k)]
         order = [int(p) for p in rng.permutation(k)]
-        profile, _ = tensor_equilibrium(costs, order=order)
+        profile = tensor_equilibrium(costs, order=order)
         want, _ = exhaustive_oracle(costs, order)
         assert profile == want
     assert time.perf_counter() - t0 <= 30.0
@@ -107,7 +107,7 @@ def test_solver_agrees_with_exhaustive_search():
 
 def test_step_matches_closed_form_on_the_ring():
     g = build_roundabout(RoundaboutSpec())
-    circle = g.circle_hypothesis()
+    circle = g.circle
     rng = np.random.default_rng(7)
     checked = 0
     while checked < 10_000:
@@ -134,7 +134,7 @@ def run_estimator_fixture(w_star, seed, steps=20):
     """Leader (observer) and follower with known aggressiveness on the ring."""
     g = build_roundabout(RoundaboutSpec())
     P, GP, AP = CostParams(), GameParams(), AgentParams()
-    circle = g.circle_hypothesis()
+    circle = g.circle
     rng = np.random.default_rng(seed)
     gap = rng.uniform(6.0, 14.0)
     v_lead = rng.uniform(2.0, 5.0)

@@ -91,7 +91,7 @@ class TestObserve:
 
 class TestEstimatePath:
     def test_entering_vehicle_matched_to_entry_geometry(self, geom):
-        path = geom.path(PathKind(Maneuver.TURN_LEFT, 1))
+        path = geom.paths[PathKind(Maneuver.TURN_LEFT, 1)]
         rho, theta, status = path.pose(15.0)
         assert status == Status.ENTER
         cfg = Configuration(r=rho, theta=theta, v=5.0, status=status)
@@ -117,11 +117,6 @@ class TestEstimatePath:
         r_end, _, st_end = hyp.pose(hyp.total_length)
         assert st_end == Status.EXIT and r_end > 20.0
 
-    def test_exited_vehicle_gets_exit_path_at_nearest_arm(self, geom):
-        cfg = Configuration(r=24.0, theta=math.pi / 2 + 0.1, v=5.0, status=Status.EXIT)
-        hyp = estimate_path(cfg, geom)
-        assert hyp.exit_arm == 1
-
 
 class TestUpdateEstimates:
     def test_new_neighbour_initialised(self, geom):
@@ -143,7 +138,7 @@ class TestUpdateEstimates:
 
     def test_deviation_triggers_reestimate_onto_grid(self, geom):
         state = fresh_state(vid=0)
-        circle = geom.circle_hypothesis()
+        circle = geom.circle
         obs0 = {0: on_circle(0.0, arclen=0.0), 1: on_circle(0.5, v=4.0)}
         update_estimates(state, obs0, geom, P, AP, DELTA)
         decide(state, obs0, circle, geom, P, GP, AP, DELTA)
@@ -160,7 +155,7 @@ class TestReestimateOracle:
     def test_replayed_two_player_games(self, geom, true_weight):
         ap = AgentParams(estimator_ego_uses_true_weight=true_weight)
         rng = np.random.default_rng(int(true_weight))
-        circle = geom.circle_hypothesis()
+        circle = geom.circle
         picked = set()
         for trial in range(60):
             ego_id, j = (0, 1) if trial % 2 else (5, 2)
@@ -259,10 +254,10 @@ class TestDecide:
         state = fresh_state(vid=3)
         obs = {3: on_circle(2.0, v=1.0, arclen=40.0)}
         update_estimates(state, obs, geom, P, AP, DELTA)
-        d = decide(state, obs, geom.circle_hypothesis(), geom, P, GP, AP, DELTA)
+        d = decide(state, obs, geom.circle, geom, P, GP, AP, DELTA)
         assert d.accel == 30.0
         assert not d.override
-        assert d.order == (3,)
+        assert state.order == (3,)
 
     def test_deterministic_given_equal_state(self, geom):
         obs = {0: on_circle(0.0, v=6.0, arclen=10.0),
@@ -272,7 +267,7 @@ class TestDecide:
         for _ in range(2):
             state = fresh_state(vid=0, seed=7)
             update_estimates(state, obs, geom, P, AP, DELTA)
-            results.append(decide(state, dict(obs), geom.circle_hypothesis(),
+            results.append(decide(state, dict(obs), geom.circle,
                                   geom, P, GP, AP, DELTA))
         assert results[0] == results[1]
 
@@ -282,7 +277,7 @@ class TestDecide:
                4: on_circle(6.0)}
         state = fresh_state(vid=0)
         update_estimates(state, obs, geom, P, AP, DELTA)
-        d = decide(state, obs, geom.circle_hypothesis(), geom, P, GP, AP, DELTA)
+        d = decide(state, obs, geom.circle, geom, P, GP, AP, DELTA)
         # cap 4: ego + gaps 0.2, 0.28 (ccw 6.0), 0.5; vehicle 3 is trimmed
         assert sorted(d.weights) == [0, 1, 2, 4]
         assert sorted(d.profile) == [0, 1, 2, 4]
@@ -292,15 +287,15 @@ class TestDecide:
         obs = {0: on_circle(0.0, arclen=10.0), 1: on_circle(0.4)}
         update_estimates(state, obs, geom, P, AP, DELTA)
         state.w_hat[1] = 0.2
-        d = decide(state, obs, geom.circle_hypothesis(), geom, P, GP, AP, DELTA)
+        d = decide(state, obs, geom.circle, geom, P, GP, AP, DELTA)
         assert d.weights == {0: 0.7, 1: 0.2}
-        assert d.order == (0, 1)  # higher weight decides first
+        assert state.order == (0, 1)  # higher weight decides first
 
     def test_replay_snapshot_frozen(self, geom):
         state = fresh_state(vid=0)
         obs = {0: on_circle(0.0, v=6.0, arclen=10.0), 1: on_circle(0.4, v=3.0)}
         update_estimates(state, obs, geom, P, AP, DELTA)
-        decide(state, obs, geom.circle_hypothesis(), geom, P, GP, AP, DELTA)
+        decide(state, obs, geom.circle, geom, P, GP, AP, DELTA)
         assert state.rolls[0].v[0, 0] == 6.0 and state.rolls[1].v[0, 0] == 3.0
         assert set(state.rolls) == {0, 1}
         assert set(state.pred_xy) == {1}
@@ -319,7 +314,7 @@ class TestDeadlockOverride:
             twin = np.random.default_rng(seed)
             obs = self.stopped_obs()
             update_estimates(state, obs, geom, P, AP, DELTA)
-            d = decide(state, obs, geom.circle_hypothesis(), geom, P, GP, AP, DELTA)
+            d = decide(state, obs, geom.circle, geom, P, GP, AP, DELTA)
             assert d.override == (twin.random() < AP.deadlock_prob)
             if d.override:
                 assert d.accel == AP.deadlock_accel
@@ -332,7 +327,7 @@ class TestDeadlockOverride:
         assert np.random.default_rng(2).random() < AP.deadlock_prob
         obs = self.stopped_obs(ego_status=Status.ENTER)
         update_estimates(state, obs, geom, P, AP, DELTA)
-        path = geom.path(PathKind(Maneuver.GO_STRAIGHT, 0))
+        path = geom.paths[PathKind(Maneuver.GO_STRAIGHT, 0)]
         d = decide(state, obs, path, geom, P, GP, AP, DELTA)
         assert not d.override
         # the draw still happened, keeping streams aligned across branches
@@ -343,5 +338,5 @@ class TestDeadlockOverride:
         obs = self.stopped_obs()
         obs[1] = Configuration(r=20.0, theta=0.4, v=2.0, status=Status.INSIDE)
         update_estimates(state, obs, geom, P, AP, DELTA)
-        decide(state, obs, geom.circle_hypothesis(), geom, P, GP, AP, DELTA)
+        decide(state, obs, geom.circle, geom, P, GP, AP, DELTA)
         assert state.rng.random() == np.random.default_rng(2).random()

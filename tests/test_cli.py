@@ -115,13 +115,22 @@ class TestReports:
     def test_malformed_trace_named_and_counted(self, tmp_path, capsys):
         run_campaign(parse_config("campaign = 2 x 2\n"), str(tmp_path),
                      traces=True, jobs=1)
-        bad = tmp_path / "traces" / "n2" / "run_99999999.csv"
-        bad.write_text("not,a,trace\n1,2,3\n")
-        (tmp_path / "traces" / "n2" / "notes.txt").write_text("ignored\n")
+        sub = tmp_path / "traces" / "n2"
+        header = ",".join(TRACE_COLUMNS) + "\n"
+        bad = {
+            "run_99999999.csv": "not,a,trace\n1,2,3\n",
+            "run_99999998.csv": header,                          # no data rows
+            "run_99999997.csv": header + "1" * 200_000 + "\n",   # over csv's field limit
+            "run_99999996.csv": header + "0.0,0,40.0,0.0,5.0,enter,0.0,,0\n",  # no own weight
+        }
+        for fname, text in bad.items():
+            (sub / fname).write_text(text)
+        (sub / "notes.txt").write_text("ignored\n")
         report = summarize(str(tmp_path / "traces"))
-        assert report.warnings == 1
+        assert report.warnings == len(bad)
         assert report.rows[0].runs == 2
-        assert "run_99999999.csv" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert all(fname in err for fname in bad)
 
     def test_zero_run_rows_drop_out(self, tmp_path):
         report, errors = run_campaign(parse_config("campaign = 4 x 0\n"),

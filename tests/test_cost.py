@@ -208,8 +208,8 @@ class TestPayoffTensors:
         delta, horizon = 0.25, 4
         strategies = build_strategies(horizon=horizon)
         K = data.draw(st.integers(1, 3))
-        circle = geom.circle_hypothesis()
-        entry = geom.entry_hypothesis(PathKind(Maneuver.GO_STRAIGHT, 0))
+        circle = geom.circle
+        entry = geom.entry_hypotheses[PathKind(Maneuver.GO_STRAIGHT, 0)]
         paths, starts, trajs, w = [], [], [], []
         for k in range(K):
             path = data.draw(st.sampled_from([circle, entry]))
@@ -221,7 +221,10 @@ class TestPayoffTensors:
             starts.append((s0, v0, st0))
             trajs.append(rollout(path, s0, v0, st0, DEFAULT_ACCELS, horizon, delta))
             w.append(data.draw(st.sampled_from([0.1, 0.5, 0.9])))
-        costs, safe, speed = payoff_tensors(trajs, w, params, geom.r_in)
+        costs = payoff_tensors(trajs, w, params, geom.r_in)
+        # w = 0 and w = 1 read the safety and speed terms out exactly
+        safe = payoff_tensors(trajs, [0.0] * K, params, geom.r_in)
+        speed = payoff_tensors(trajs, [1.0] * K, params, geom.r_in)
         profile = tuple(data.draw(st.integers(0, len(strategies) - 1)) for _ in range(K))
         ref = scalar_profile_cost(paths, starts,
                                   [strategies[i] for i in profile],
@@ -238,7 +241,7 @@ class TestRolloutCoherence:
     @settings(max_examples=50)
     def test_rollout_columns_equal_iterated_step(self, v0, s0):
         geom = build_roundabout(RoundaboutSpec())
-        path = geom.entry_hypothesis(PathKind(Maneuver.TURN_LEFT, 1))
+        path = geom.entry_hypotheses[PathKind(Maneuver.TURN_LEFT, 1)]
         strategies = build_strategies(horizon=4)
         rho0, theta0, _ = path.pose(s0)
         st0 = Status.ENTER if rho0 > geom.r_in + 4.5 else Status.INSIDE
@@ -258,13 +261,13 @@ def rollout_pool(geom, horizon, delta=0.25):
     thr = geom.r_in + 4.5
     lap = 2 * math.pi * geom.r_in
     starts = []
-    circle = geom.circle_hypothesis()
+    circle = geom.circle
     starts += [(circle, s0, v0) for s0 in (0.0, 3.0, 9.5, 20.0, lap - 1.0)
                for v0 in (0.0, 6.0, 11.5)]
     for arm in range(geom.spec.ways):
-        entry = geom.entry_hypothesis(PathKind(list(Maneuver)[arm % 3], arm))
+        entry = geom.entry_hypotheses[PathKind(list(Maneuver)[arm % 3], arm)]
         starts += [(entry, s0, v0) for s0 in (0.0, 12.0, 25.0, 40.0) for v0 in (2.0, 9.0)]
-        exit_ = geom.exit_hypothesis(arm)
+        exit_ = geom.exit_hypotheses[arm]
         starts += [(exit_, s0, v0) for s0 in (lap - 6.0, lap + 2.0, lap + 8.0, lap + 25.0)
                    for v0 in (4.0, 13.0)]
     pool = []
@@ -281,7 +284,10 @@ class TestPayoffTensorsBitIdentity:
 
     @staticmethod
     def assert_same(trajs, w, params, r_in):
-        got = payoff_tensors(trajs, w, params, r_in)
+        # the reference returns (costs, safe, speed); w = 0 and w = 1 read the
+        # safety and speed terms out exactly, since every safety cost is finite
+        K = len(trajs)
+        got = [payoff_tensors(trajs, wk, params, r_in) for wk in (w, [0.0] * K, [1.0] * K)]
         want = reference_payoff_tensors(trajs, w, params, r_in)
         for g, r in zip(got, want):
             assert len(g) == len(r) == len(trajs)
@@ -306,8 +312,8 @@ class TestPayoffTensorsBitIdentity:
 
     def test_ring_neighbourhoods(self, geom):
         # dense same-path traffic: every window, range and wall branch fires
-        circle = geom.circle_hypothesis()
-        entry = geom.entry_hypothesis(PathKind(Maneuver.GO_STRAIGHT, 0))
+        circle = geom.circle
+        entry = geom.entry_hypotheses[PathKind(Maneuver.GO_STRAIGHT, 0)]
         params = CostParams()
         for offsets in [(0.0, 0.0), (0.0, 4.0, 8.0), (0.0, 5.9, 6.0, 6.1),
                         (0.0, 30.0, 60.0, 90.0), (0.0, 0.0, 3.0, 3.0)]:
@@ -337,8 +343,27 @@ class TestPayoffTensorsBitIdentity:
                 for _ in range(25):
                     self.assert_same([bundle() for _ in range(K)], [0.5] * K, params, r_in)
 
+    @pytest.mark.parametrize("K", [2, 3, 4])
+    def test_weight_batch_equals_slices(self, geom, K):
+        # a (B, 1, ..., 1) weight per player prices B games in one call
+        pool = rollout_pool(geom, 4)
+        rng = np.random.default_rng(20 + K)
+        grid = np.array([0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9])
+        params = CostParams()
+        for _ in range(20):
+            trajs = [pool[i] for i in rng.integers(0, len(pool), size=K)]
+            cols = [rng.permutation(grid) if rng.random() < 0.7
+                    else np.full_like(grid, rng.choice(grid)) for _ in range(K)]
+            got = payoff_tensors(trajs, [c.reshape((9,) + (1,) * K) for c in cols],
+                                 params, geom.r_in)
+            for b in range(9):
+                want = payoff_tensors(trajs, [float(c[b]) for c in cols], params, geom.r_in)
+                for g, one in zip(got, want):
+                    assert g.shape == (9,) + (5,) * K
+                    assert np.array_equal(g[b], one)
+
     def test_unequal_alphabets_rejected(self, geom):
-        circle = geom.circle_hypothesis()
+        circle = geom.circle
         a = rollout(circle, 0.0, 5.0, Status.INSIDE, DEFAULT_ACCELS, 4, 0.25)
         b = rollout(circle, 9.0, 5.0, Status.INSIDE, (-10.0, 0.0, 10.0), 4, 0.25)
         with pytest.raises(ValueError):

@@ -27,7 +27,7 @@ def geom():
 
 def on_circle(geom, theta, v, status=Status.INSIDE):
     # bind to the pure-circulation path at matching arclen
-    path = geom.circle_hypothesis()
+    path = geom.circle
     return path, Configuration(r=geom.r_in, theta=theta, v=v, status=status,
                                arclen=geom.r_in * theta)
 
@@ -58,7 +58,7 @@ class TestStep:
         assert y.arclen == x.arclen
 
     def test_rejects_unbound_configuration(self, geom):
-        path = geom.circle_hypothesis()
+        path = geom.circle
         x = Configuration(r=20.0, theta=0.0, v=5.0, status=Status.INSIDE)
         with pytest.raises(ValueError):
             step(x, 0.0, 0.25, path)
@@ -76,7 +76,7 @@ class TestStep:
     @settings(max_examples=120)
     def test_speed_never_negative_and_advances(self, v, a, s):
         geom = build_roundabout(RoundaboutSpec())
-        path = geom.circle_hypothesis()
+        path = geom.circle
         x = Configuration(r=geom.r_in, theta=(s / geom.r_in) % (2 * math.pi),
                           v=v, status=Status.INSIDE, arclen=s)
         y = step(x, a, 0.25, path)
@@ -154,7 +154,7 @@ class TestRollout:
                             assert np.array_equal(arr, want), (name, s0, v0, st0)
 
     def test_one_pose_batch_per_rollout(self, geom, monkeypatch):
-        path = geom.path(PathKind(Maneuver.GO_STRAIGHT, 0))
+        path = geom.paths[PathKind(Maneuver.GO_STRAIGHT, 0)]
         calls = []
         original = path.pose_batch
 
@@ -167,7 +167,7 @@ class TestRollout:
         assert calls == [5 * 3]
 
     def test_rejects_bad_delta_and_speed(self, geom):
-        path = geom.circle_hypothesis()
+        path = geom.circle
         for delta in (0.0, -0.25):
             with pytest.raises(ValueError, match="delta"):
                 rollout(path, 0.0, 5.0, Status.INSIDE, DEFAULT_ACCELS, 4, delta)

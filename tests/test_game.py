@@ -59,20 +59,20 @@ class TestWorkedTwoPlayerGame:
         assert game.evaluations == 4
 
     def test_tensor_solver(self):
-        profile, payoffs = tensor_equilibrium([self.K0, self.K1], order=[0, 1])
+        profile = tensor_equilibrium([self.K0, self.K1], order=[0, 1])
         assert profile == (0, 1)
-        assert tuple(payoffs) == (1.0, 2.0)
+        assert (self.K0[profile], self.K1[profile]) == (1.0, 2.0)
 
     def test_first_mover_anticipates_response(self):
         # myopic row minimum would pick row 1 (cost 2 < 3); induction picks row 0
-        profile, _ = tensor_equilibrium([self.K0, self.K1], order=[0, 1])
+        profile = tensor_equilibrium([self.K0, self.K1], order=[0, 1])
         assert profile[0] == 0
 
 
 class TestDeterminism:
     def test_constant_payoffs_pick_first_strategy(self):
         c = [np.zeros((3, 3)) for _ in range(2)]
-        profile, _ = tensor_equilibrium(c, order=[0, 1])
+        profile = tensor_equilibrium(c, order=[0, 1])
         assert profile == (0, 0)
         game = SequentialGame(players=[0, 1], n_strategies=[3, 3],
                               payoff=lambda p: (0.0, 0.0))
@@ -94,11 +94,11 @@ class TestReferenceBitIdentity:
             sizes = [5] * K if trial % 2 else rng.integers(1, 5, size=K).tolist()
             costs = [rng.integers(0, 3, size=sizes).astype(float) for _ in range(K)]
             for order in itertools.permutations(range(K)):
-                prof, pay = tensor_equilibrium(costs, list(order))
+                prof = tensor_equilibrium(costs, list(order))
                 want_prof, want_pay = reference_tensor_equilibrium(costs, list(order))
                 assert prof == want_prof
                 assert type(prof[0]) is int
-                assert np.array_equal(pay, want_pay)
+                assert np.array_equal([c[prof] for c in costs], want_pay)
 
     @pytest.mark.parametrize("K", [1, 2, 3, 4])
     def test_batch_equals_slices(self, K):
@@ -107,23 +107,22 @@ class TestReferenceBitIdentity:
             costs = [rng.integers(0, 3, size=(B,) + (4,) * K).astype(float)
                      for _ in range(K)]
             order = rng.permutation(K).tolist()
-            prof, pay = tensor_equilibrium(costs, order)
-            assert prof.shape == pay.shape == (B, K)
+            prof = tensor_equilibrium(costs, order)
+            assert prof.shape == (B, K)
             for b in range(B):
                 want_prof, want_pay = reference_tensor_equilibrium([c[b] for c in costs], order)
                 assert tuple(prof[b].tolist()) == want_prof
-                assert np.array_equal(pay[b], want_pay)
+                assert np.array_equal([c[b][tuple(prof[b])] for c in costs], want_pay)
 
     def test_broadcast_views_accepted(self):
-        # payoff_tensors hands over read-only broadcast views
+        # the solver only reads its tensors, so read-only broadcast views
+        # (zero strides, no own memory) are valid input
         rng = np.random.default_rng(3)
         base = [rng.integers(0, 3, size=(4, 1)).astype(float),
                 rng.integers(0, 3, size=(1, 4)).astype(float)]
         costs = [np.broadcast_to(c, (4, 4)) for c in base]
         for order in ([0, 1], [1, 0]):
-            got = tensor_equilibrium(costs, order)
-            want = reference_tensor_equilibrium(costs, order)
-            assert got[0] == want[0] and np.array_equal(got[1], want[1])
+            assert tensor_equilibrium(costs, order) == reference_tensor_equilibrium(costs, order)[0]
 
 
 class TestSolverAgreement:
@@ -135,7 +134,8 @@ class TestSolverAgreement:
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         costs = [rng.integers(0, 9, size=(S,) * K).astype(float) for _ in range(K)]
         perm = data.draw(st.permutations(list(range(K))))
-        t_prof, t_pay = tensor_equilibrium(costs, order=list(perm))
+        t_prof = tensor_equilibrium(costs, order=list(perm))
+        t_pay = [float(c[t_prof]) for c in costs]
         o_prof, o_pay = exhaustive_oracle(costs, list(perm))
         assert t_prof == o_prof
         assert tuple(t_pay) == tuple(o_pay)
@@ -159,7 +159,8 @@ class TestSolverAgreement:
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         costs = [rng.random((S,) * K) for _ in range(K)]
         order = list(range(K))
-        prof, pay = tensor_equilibrium(costs, order)
+        prof = tensor_equilibrium(costs, order)
+        pay = [c[prof] for c in costs]
 
         def continuation(fixed):
             # later players best-respond in order given the fixed choices

@@ -247,7 +247,7 @@ class TestPose:
 
 class TestHypothesisPaths:
     def test_entry_hypothesis_circulates_forever(self, geom):
-        h = geom.entry_hypothesis(PathKind(Maneuver.GO_STRAIGHT, 1))
+        h = geom.entry_hypotheses[PathKind(Maneuver.GO_STRAIGHT, 1)]
         assert h.exit_arm is None
         assert math.isnan(exit_angle(h))
         rho, _, label = h.pose(total_enter_len(h) + 3 * geom.r_in)
@@ -255,15 +255,24 @@ class TestHypothesisPaths:
         assert label == Status.INSIDE
 
     def test_exit_hypothesis_departs_at_arm(self, geom):
-        h = geom.exit_hypothesis(2)
+        h = geom.exit_hypotheses[2]
         assert h.exit_arm == 2
         assert exit_angle(h) == pytest.approx(math.pi)
         rho, _, label = h.pose(h.total_length)
         assert label == Status.EXIT
         assert rho > geom.r_in + 4.5
 
+    @pytest.mark.parametrize("ways", [3, 4])
+    def test_hypotheses_built_in_arm_order(self, ways):
+        # the nearest-entry scan keeps the first minimum, so this order is its tie-break
+        geom = build_roundabout(RoundaboutSpec(ways=ways))
+        kinds = [PathKind(m, arm) for arm in range(ways) for m in Maneuver]
+        assert list(geom.entry_hypotheses) == kinds
+        assert list(geom.paths) == kinds
+        assert [h.exit_arm for h in geom.exit_hypotheses] == list(range(ways))
+
     def test_circle_hypothesis_wraps(self, geom):
-        h = geom.circle_hypothesis()
+        h = geom.circle
         rho, theta, _ = h.pose(geom.r_in * (TWO_PI + 0.5))
         assert rho == geom.r_in
         assert theta == pytest.approx(0.5)
