@@ -43,9 +43,7 @@ import numpy as np
 from .cost import CostParams, payoff_tensors
 from .dynamics import VEHICLE_DIAMETER, Configuration, Rollout, rollout, step
 from .game import GameParams, order_players, tensor_equilibrium
-from .geometry import Geometry, NavigationPath, Status
-
-TWO_PI = 2.0 * math.pi
+from .geometry import TWO_PI, Geometry, NavigationPath, Status
 
 DEFAULT_W_GRID = tuple(round(0.1 * k, 1) for k in range(1, 10))
 
@@ -165,9 +163,7 @@ def _nearest_entry(observed: Configuration, geometry: Geometry) -> NavigationPat
     x, y = observed.xy()
     best = None
     for h in geometry.entry_hypotheses.values():
-        s = h.project(x, y)
-        rho, theta, _ = h.pose(s)
-        d2 = (rho * math.cos(theta) - x) ** 2 + (rho * math.sin(theta) - y) ** 2
+        d2 = h.project(x, y)[1]
         if best is None or d2 < best[0] - 1e-12:
             best = (d2, h)
     return best[1]
@@ -229,17 +225,13 @@ def decide(state: AgentState, obs: Mapping[int, Configuration], ego_path: Naviga
         key = (id(path), c)
         hit = cache.get(key)
         if hit is None:
-            s = path.project(*c.xy())
+            s = path.project(*c.xy())[0]
             hit = cache[key] = (s, rollout(path, s, c.v, c.status, accels, horizon,
                                            delta, diameter))
         arclen[vid], rolls[vid] = hit
 
-    costs = payoff_tensors([rolls[v] for v in ids], [weights[v] for v in ids],
-                           cost_params, geometry.r_in)
-    axis_of = {vid: k for k, vid in enumerate(ids)}
     order = tuple(order_players(weights))
-    prof = tensor_equilibrium(costs, [axis_of[v] for v in order])
-    profile = {vid: prof[axis_of[vid]] for vid in ids}
+    profile = _play(rolls, weights, order, cost_params, geometry.r_in)
     accel = float(accels[profile[ego_id]])
 
     override = False
@@ -258,6 +250,16 @@ def decide(state: AgentState, obs: Mapping[int, Configuration], ego_path: Naviga
     return DecisionResult(accel=accel, override=override, profile=profile, weights=weights)
 
 
+def _play(rolls, weights, order, cost_params, r_in):
+    """Solve the game of ``weights``' players, moving in ``order``, over ``rolls``: a strategy
+    index per player, or a list of them (one per game) when the weights carry a batch axis."""
+    ids = sorted(weights)
+    costs = payoff_tensors([rolls[v] for v in ids], [weights[v] for v in ids], cost_params, r_in)
+    axis_of = {vid: k for k, vid in enumerate(ids)}
+    prof = tensor_equilibrium(costs, [axis_of[v] for v in order if v in axis_of])
+    return dict(zip(ids, np.transpose(prof).tolist()))
+
+
 def _reestimate(state: AgentState, j: int, obs_j: Configuration,
                 cost_params: CostParams, agent_params: AgentParams,
                 delta: float, r_in: float) -> float:
@@ -267,17 +269,13 @@ def _reestimate(state: AgentState, j: int, obs_j: Configuration,
     a column of candidate weights and solved as one batch, on the rollouts
     and the decision order frozen in ``state`` at decision time.
     """
-    rolls, ids = state.rolls, sorted((state.vid, j))
     grid = np.array(agent_params.w_grid, dtype=float)[:, None, None]
     w_ego = (np.full_like(grid, state.w_agg)
              if agent_params.estimator_ego_uses_true_weight else grid)
-    costs = payoff_tensors([rolls[v] for v in ids],
-                           [w_ego if v == state.vid else grid for v in ids], cost_params, r_in)
-    axis_of = {vid: k for k, vid in enumerate(ids)}
-    prof = tensor_equilibrium(costs, [axis_of[v] for v in state.order if v in axis_of])
-    v_prev = rolls[j].v[0, 0]
+    profile = _play(state.rolls, {state.vid: w_ego, j: grid}, state.order, cost_params, r_in)
+    v_prev = state.rolls[j].v[0, 0]
     a_obs = (obs_j.v - v_prev) / delta
-    v1 = rolls[j].v[prof[:, axis_of[j]], 1]
+    v1 = state.rolls[j].v[profile[j], 1]
     err = np.abs((v1 - v_prev) / delta - a_obs)
     prev_est = state.w_hat[j]
     return min(zip(err.tolist(), (abs(w - prev_est) for w in agent_params.w_grid),

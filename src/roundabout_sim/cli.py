@@ -194,7 +194,7 @@ def trace_stats(path: str, diameter: float = VEHICLE_DIAMETER) -> RunStats:
                         if int(k) == vid:
                             self_w[vid] = float(v)
                             break
-    except (ValueError, csv.Error) as exc:
+    except (ValueError, csv.Error, OSError) as exc:
         if isinstance(exc, TraceFormatError):
             raise
         raise TraceFormatError(f"{name}: {exc}")
@@ -410,8 +410,8 @@ def summarize(trace_root: str, diameter: float = VEHICLE_DIAMETER) -> SummaryRep
     """Recompute a :class:`SummaryReport` from a directory of traces.
 
     ``trace_root`` is the ``traces/`` directory written by a campaign
-    (``n<k>/run_<seed>.csv`` layout).  Malformed files are named on stderr,
-    skipped, and counted in ``report.warnings``.
+    (``n<k>/run_<seed>.csv`` layout).  Malformed or unreadable entries are
+    named on stderr, skipped, and counted in ``report.warnings``.
     """
     groups = []
     warnings = 0

@@ -43,7 +43,7 @@ from typing import Dict, List, Optional, Tuple
 from .agent import AgentParams
 from .cost import CostParams
 from .game import GameParams
-from .geometry import RoundaboutSpec, build_roundabout
+from .geometry import RoundaboutSpec
 from .sim import SimParams
 
 DEFAULT_SEED = 42
@@ -197,10 +197,8 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"line {line_no}: bad value for {key!r}: {exc}")
 
     try:
-        spec = RoundaboutSpec(**values["geometry"])
-        build_roundabout(spec)  # geometry invariants live in the builder
         cfg = ExperimentConfig(
-            spec=spec,
+            spec=RoundaboutSpec(**values["geometry"]),
             cost=CostParams(**values["cost"]),
             game=GameParams(**values["game"]),
             agent=AgentParams(**values["agent"]),

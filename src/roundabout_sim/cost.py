@@ -45,9 +45,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import Status
-
-TWO_PI = 2.0 * math.pi
+from .geometry import TWO_PI, Status
 
 # side windows on the ccw gap in [0, 2pi), front then back: [0, pi] and (0, pi)
 _WINDOW_LO = np.array([-np.inf, 0.0]).reshape(2, 1, 1, 1, 1, 1)

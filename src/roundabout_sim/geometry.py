@@ -22,10 +22,10 @@ Every joint is tangent-continuous and the lateral lane offsets keep entry and
 exit lanes of all arms more than one vehicle diameter apart, so no two paths
 overlap head-on.
 
-Arclength is the single path coordinate.  ``pose`` maps arclen to the polar
-configuration ``(rho, theta)`` about the roundabout centre plus the
-structural block label (enter / inside / exit); querying past the path end
-extrapolates along the final segment, negative arclen is an error.
+Arclength is the single path coordinate.  ``pose`` maps it to the polar
+configuration ``(rho, theta)`` plus the block label (enter / inside / exit),
+extrapolating past the end (negative arclen is an error); ``project`` maps a
+point back to the nearest arclen and its squared distance.
 """
 
 from __future__ import annotations
@@ -100,10 +100,41 @@ class RoundaboutSpec:
     theta3: float = 0.40
     entrance_angles: tuple = ()
 
+    def __post_init__(self):
+        if self.ways < 3:
+            raise ValueError(f"ways must be >= 3, got {self.ways}")
+        for name in ("r_in", "r_en", "approach_len"):
+            if getattr(self, name) <= 0.0:
+                raise ValueError(f"{name} must be positive")
+        spacing = TWO_PI / self.ways
+        for maneuver in Maneuver:
+            theta = self.connector_angle(maneuver)
+            if not 0.0 < theta < math.pi:
+                raise ValueError(f"connector angle for {maneuver.value} must be in (0, pi)")
+            budget = spacing * _MANEUVER_STEPS[maneuver]
+            if theta > budget + 1e-12:
+                raise ValueError(
+                    f"connector angle {theta} for {maneuver.value} exceeds the "
+                    f"angular budget {budget} between its arms")
+        angles = self.arm_angles()
+        if len(angles) != self.ways:
+            raise ValueError(f"entrance_angles must have exactly {self.ways} entries")
+        if any(not a < b for a, b in zip(angles, angles[1:])):
+            raise ValueError("entrance_angles must be strictly increasing")
+        if angles and not (0.0 <= angles[0] and angles[-1] < TWO_PI):
+            raise ValueError("entrance_angles must lie in [0, 2*pi)")
+
     def arm_angles(self):
         if self.entrance_angles:
             return tuple(self.entrance_angles)
         return tuple(TWO_PI * k / self.ways for k in range(self.ways))
+
+    def connector_angle(self, maneuver):
+        return {
+            Maneuver.TURN_RIGHT: self.theta1,
+            Maneuver.GO_STRAIGHT: self.theta2,
+            Maneuver.TURN_LEFT: self.theta3,
+        }[maneuver]
 
 
 _LINE = 0
@@ -111,25 +142,22 @@ _ARC = 1
 _CIRCLE = 2  # arc centred on the roundabout origin: rho is exact
 
 
+@dataclass(slots=True)
 class Segment:
-    """One piecewise-constant-curvature piece of a navigation path."""
+    """One constant-curvature piece of a path.  A line has origin (ax, ay), unit direction
+    (bx, by) and radius 1, which keeps the arc formula of ``pose_batch`` finite on it; an
+    arc or circle has centre (ax, ay), radius, start angle psi0 and orientation orient."""
 
-    __slots__ = ("type", "label", "length", "ax", "ay", "bx", "by", "radius", "psi0", "orient")
-
-    def __init__(self, type_, label, length, ax=0.0, ay=0.0, bx=0.0, by=0.0,
-                 radius=0.0, psi0=0.0, orient=0.0):
-        self.type = type_
-        self.label = Status(label)
-        self.length = length
-        # line: (ax, ay) origin, (bx, by) unit direction
-        # arc/circle: (ax, ay) centre, radius, psi0 start angle, orient +-1
-        self.ax = ax
-        self.ay = ay
-        self.bx = bx
-        self.by = by
-        self.radius = radius
-        self.psi0 = psi0
-        self.orient = orient
+    type: int
+    label: Status
+    length: float
+    ax: float = 0.0
+    ay: float = 0.0
+    bx: float = 0.0
+    by: float = 0.0
+    radius: float = 1.0
+    psi0: float = 0.0
+    orient: float = 0.0
 
     def point_at(self, t):
         if self.type == _LINE:
@@ -156,14 +184,11 @@ class NavigationPath:
         self._starts = cum[:-1]
         self._s0 = np.asarray(self._starts)
         self.total_length = cum[-1]
-        # column table for vectorised pose queries; lines get radius 1 so the
-        # arc formula, evaluated at every point and discarded on lines, stays finite
-        types = np.array([s.type for s in self.segments])
-        self._is_line = types == _LINE
-        self._is_circle = types == _CIRCLE
-        self._labels = np.array([int(s.label) for s in self.segments], dtype=np.int8)
-        self._cols = np.array([(s.ax, s.ay, s.bx, s.by, 1.0 if s.type == _LINE else s.radius,
-                                s.psi0, s.orient) for s in self.segments]).T.copy()
+        # column table for vectorised pose queries, one row per Segment field
+        table = np.array([[getattr(s, f) for f in s.__slots__] for s in self.segments], float).T
+        self._is_line, self._is_circle = table[0] == _LINE, table[0] == _CIRCLE
+        self._labels = table[1].astype(np.int8)
+        self._cols = table[3:].copy()
 
     def _segment_index(self, arclen):
         if not arclen >= 0.0:  # also rejects NaN
@@ -199,7 +224,7 @@ class NavigationPath:
         return rho, theta, self._labels[idx]
 
     def project(self, x, y):
-        """Arclen of the path point nearest to (x, y); first minimum wins."""
+        """(arclen, squared distance) of the path point nearest to (x, y); first minimum wins."""
         best_s, best_d2 = 0.0, math.inf
         for i, seg in enumerate(self.segments):
             s0 = self._starts[i]
@@ -215,7 +240,7 @@ class NavigationPath:
             d2 = _point_d2(seg, t, x, y)
             if d2 < best_d2 - 1e-12:
                 best_s, best_d2 = s0 + t, d2
-        return best_s
+        return best_s, best_d2
 
 
 def _point_d2(seg, t, x, y):
@@ -225,7 +250,7 @@ def _point_d2(seg, t, x, y):
 
 @dataclass
 class Geometry:
-    """Validated roundabout with every navigation and hypothesis path built once.
+    """The roundabout of a spec (valid by construction), every path built once.
 
     ``paths`` maps each ``PathKind`` to its full navigation path.
     ``entry_hypotheses`` maps each ``PathKind`` (arm-major, then in
@@ -236,16 +261,17 @@ class Geometry:
     """
 
     spec: RoundaboutSpec
-    arm_angles: tuple
+    arm_angles: tuple = field(init=False)
 
     def __post_init__(self):
         r_in = self.spec.r_in
+        self.arm_angles = self.spec.arm_angles()
         self.paths, self.entry_hypotheses = {}, {}
         for arm in range(self.spec.ways):
             for maneuver in Maneuver:
                 kind = PathKind(maneuver, arm)
                 self.paths[kind] = build_path(self, kind)
-                merge = self.arm_angles[arm] + self.connector_angle(maneuver) / 2.0
+                merge = self.arm_angles[arm] + self.spec.connector_angle(maneuver) / 2.0
                 segs = _entry_segments(self, kind) + [_ring(r_in, 3 * TWO_PI * r_in, merge)]
                 self.entry_hypotheses[kind] = NavigationPath(None, segs, r_in)
         chi = self.spec.theta2 / 2.0
@@ -259,41 +285,10 @@ class Geometry:
     def r_in(self):
         return self.spec.r_in
 
-    def connector_angle(self, maneuver):
-        return {
-            Maneuver.TURN_RIGHT: self.spec.theta1,
-            Maneuver.GO_STRAIGHT: self.spec.theta2,
-            Maneuver.TURN_LEFT: self.spec.theta3,
-        }[maneuver]
-
 
 def build_roundabout(spec: RoundaboutSpec) -> Geometry:
-    """Validate ``spec`` and derive the arm layout."""
-    if spec.ways < 3:
-        raise ValueError(f"ways must be >= 3, got {spec.ways}")
-    for name in ("r_in", "r_en", "approach_len"):
-        if getattr(spec, name) <= 0.0:
-            raise ValueError(f"{name} must be positive")
-    spacing = TWO_PI / spec.ways
-    for theta, maneuver in ((spec.theta1, Maneuver.TURN_RIGHT),
-                            (spec.theta2, Maneuver.GO_STRAIGHT),
-                            (spec.theta3, Maneuver.TURN_LEFT)):
-        if not 0.0 < theta < math.pi:
-            raise ValueError(f"connector angle for {maneuver.value} must be in (0, pi)")
-        budget = spacing * _MANEUVER_STEPS[maneuver]
-        if theta > budget + 1e-12:
-            raise ValueError(
-                f"connector angle {theta} for {maneuver.value} exceeds the "
-                f"angular budget {budget} between its arms")
-    angles = spec.arm_angles()
-    if len(angles) != spec.ways:
-        raise ValueError(f"entrance_angles must have exactly {spec.ways} entries")
-    for a, b in zip(angles, angles[1:]):
-        if not a < b:
-            raise ValueError("entrance_angles must be strictly increasing")
-    if angles and not (0.0 <= angles[0] and angles[-1] < TWO_PI):
-        raise ValueError("entrance_angles must lie in [0, 2*pi)")
-    return Geometry(spec=spec, arm_angles=angles)
+    """The roundabout of ``spec``, which validated itself on construction."""
+    return Geometry(spec)
 
 
 def _ring(r_in, length, psi0):
@@ -305,7 +300,7 @@ def _entry_segments(geom, kind):
     """Approach lane plus entry connector, tangent at the merge point."""
     spec = geom.spec
     alpha = geom.arm_angles[kind.arm]
-    chi = geom.connector_angle(kind.maneuver) / 2.0
+    chi = spec.connector_angle(kind.maneuver) / 2.0
     phi_in = alpha + chi
     rc = spec.r_in + spec.r_en
     qx, qy = rc * math.cos(phi_in), rc * math.sin(phi_in)
@@ -345,7 +340,7 @@ def build_path(geometry: Geometry, kind: PathKind) -> NavigationPath:
     if not 0 <= kind.arm < spec.ways:
         raise ValueError(f"arm index {kind.arm} out of range for {spec.ways}-way roundabout")
     exit_arm = (kind.arm + _MANEUVER_STEPS[kind.maneuver]) % spec.ways
-    chi = geometry.connector_angle(kind.maneuver) / 2.0
+    chi = spec.connector_angle(kind.maneuver) / 2.0
     phi_in = geometry.arm_angles[kind.arm] + chi
     phi_out = geometry.arm_angles[exit_arm] - chi
     extent = (phi_out - phi_in) % TWO_PI

@@ -167,8 +167,9 @@ def _cruise_accel(v: float, v_l: float, delta: float, accels) -> float:
     """Open-road acceleration for a vehicle that has left the negotiation.
 
     Picks from the strategy alphabet the input whose post-step speed is
-    largest without exceeding the limit (braking clamps at standstill, so a
-    candidate at or below the limit always exists).
+    largest without exceeding the limit.  When no input gets there in one
+    step (the strongest brake is too weak, or the alphabet cannot brake at
+    all), it falls back to the input with the lowest post-step speed.
     """
     best = fallback = None
     for a in accels:

@@ -75,6 +75,19 @@ def exit_angle(path: NavigationPath) -> float:
     return math.nan
 
 
+def reference_nearest_entry(observed: Configuration, geometry: Geometry) -> NavigationPath:
+    """The entry hypothesis nearest to ``observed``, each distance measured by
+    mapping the projected arclen back to Cartesian coordinates with ``pose``."""
+    x, y = observed.xy()
+    best = None
+    for h in geometry.entry_hypotheses.values():
+        rho, theta, _ = h.pose(h.project(x, y)[0])
+        d2 = (rho * math.cos(theta) - x) ** 2 + (rho * math.sin(theta) - y) ** 2
+        if best is None or d2 < best[0] - 1e-12:
+            best = (d2, h)
+    return best[1]
+
+
 def update_status(x: Configuration, geometry: Geometry,
                   diameter: float = VEHICLE_DIAMETER) -> Configuration:
     """Re-evaluate ``x.status`` against the occupancy disc ``r_in + diameter``."""

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import reference_reestimate
+from oracles import reference_nearest_entry, reference_reestimate
 from roundabout_sim import agent, sim
 from roundabout_sim.agent import (
     AgentParams,
@@ -96,7 +96,7 @@ class TestEstimatePath:
         assert status == Status.ENTER
         cfg = Configuration(r=rho, theta=theta, v=5.0, status=status)
         hyp = estimate_path(cfg, geom)
-        s = hyp.project(*cfg.xy())
+        s = hyp.project(*cfg.xy())[0]
         hr, ht, _ = hyp.pose(s)
         assert math.hypot(hr * math.cos(ht) - cfg.xy()[0],
                           hr * math.sin(ht) - cfg.xy()[1]) < 1e-6
@@ -116,6 +116,23 @@ class TestEstimatePath:
         assert hyp.exit_arm == 1  # next arm ahead of theta=1.5 is pi/2... with grace
         r_end, _, st_end = hyp.pose(hyp.total_length)
         assert st_end == Status.EXIT and r_end > 20.0
+
+    @pytest.mark.parametrize("n, seeds", [(8, range(42, 52)), (4, range(42, 62))])
+    def test_nearest_entry_same_as_pose_rule(self, geom, monkeypatch, n, seeds):
+        """Comparing ``project``'s own distances picks the hypothesis that re-posing picks."""
+        fast = agent._nearest_entry
+        calls = []
+
+        def checked(observed, geometry):
+            got = fast(observed, geometry)
+            assert got is reference_nearest_entry(observed, geometry)
+            calls.append(got)
+            return got
+
+        monkeypatch.setattr(agent, "_nearest_entry", checked)
+        for seed in seeds:
+            run_simulation(n, seed, geom)
+        assert len(calls) > 100 and len({id(h) for h in calls}) > 4
 
 
 class TestUpdateEstimates:
@@ -213,7 +230,7 @@ class TestFrozenGame:
                     path, s = ego_path, c.arclen
                 else:
                     path = state.est_path[vid]
-                    s = path.project(*c.xy())
+                    s = path.project(*c.xy())[0]
                 fresh = rollout(path, s, c.v, c.status, game_params.strategy_accels,
                                 game_params.horizon, delta, diameter)
                 for name in ("theta", "rho", "v", "status"):

@@ -125,12 +125,13 @@ class TestReports:
         }
         for fname, text in bad.items():
             (sub / fname).write_text(text)
+        (sub / "run_99999995.csv").mkdir()                      # a directory, not a file
         (sub / "notes.txt").write_text("ignored\n")
         report = summarize(str(tmp_path / "traces"))
-        assert report.warnings == len(bad)
+        assert report.warnings == len(bad) + 1
         assert report.rows[0].runs == 2
         err = capsys.readouterr().err
-        assert all(fname in err for fname in bad)
+        assert all(fname in err for fname in bad) and "run_99999995.csv" in err
 
     def test_zero_run_rows_drop_out(self, tmp_path):
         report, errors = run_campaign(parse_config("campaign = 4 x 0\n"),

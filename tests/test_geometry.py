@@ -1,5 +1,6 @@
 """Geometry construction and path-frame queries."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -59,6 +60,23 @@ class TestRoundabout:
             build_roundabout(RoundaboutSpec(theta1=1.7))  # > pi/2 budget between adjacent arms
         with pytest.raises(ValueError):
             build_roundabout(RoundaboutSpec(entrance_angles=(0.0, 1.0, 0.5, 2.0)))
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"ways": 2}, "ways must be >= 3, got 2"),
+        ({"r_en": 0.0}, "r_en must be positive"),
+        ({"theta3": math.pi}, "connector angle for turn_left must be in (0, pi)"),
+        ({"theta1": 1.7}, "connector angle 1.7 for turn_right exceeds the angular budget"),
+        ({"entrance_angles": (0.0, 1.0)}, "entrance_angles must have exactly 4 entries"),
+        ({"entrance_angles": (0.0, 1.0, 0.5, 2.0)}, "entrance_angles must be strictly increasing"),
+        ({"entrance_angles": (0.0, 1.0, 2.0, 7.0)}, "entrance_angles must lie in [0, 2*pi)"),
+    ])
+    def test_spec_rejects_bad_geometry_at_construction(self, changes, message):
+        with pytest.raises(ValueError) as direct:
+            RoundaboutSpec(**changes)
+        assert str(direct.value).startswith(message)
+        with pytest.raises(ValueError) as replaced:
+            dataclasses.replace(RoundaboutSpec(), **changes)
+        assert str(replaced.value) == str(direct.value)
 
     def test_three_way_left_is_full_loop(self):
         g = build_roundabout(RoundaboutSpec(ways=3))
@@ -240,9 +258,17 @@ class TestPose:
         kind = data.draw(st.sampled_from(ALL_KINDS))
         p = build_path(geom, kind)
         x, y = _xy(p, min(s, p.total_length))
-        s_back = p.project(x, y)
+        s_back = p.project(x, y)[0]
         xb, yb = _xy(p, s_back)
         assert math.hypot(xb - x, yb - y) < 1e-6
+
+    @given(x=st.floats(-80.0, 80.0), y=st.floats(-80.0, 80.0))
+    @settings(max_examples=100)
+    def test_project_distance_is_distance_to_pose(self, geom, x, y):
+        for path in all_paths(geom):
+            s, d2 = path.project(x, y)
+            xs, ys = _xy(path, s)
+            assert abs(d2 - ((xs - x) ** 2 + (ys - y) ** 2)) <= 1e-9
 
 
 class TestHypothesisPaths:
