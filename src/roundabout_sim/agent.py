@@ -54,6 +54,7 @@ __all__ = [
     "observe",
     "estimate_path",
     "update_estimates",
+    "rollout_step",
     "decide",
 ]
 
@@ -189,46 +190,65 @@ def estimate_path(observed: Configuration, geometry: Geometry,
     return _nearest_entry(observed, geometry)
 
 
+def _game_keys(state: AgentState, obs: Mapping[int, Configuration], ego_path: NavigationPath,
+               player_cap: int) -> Dict[int, tuple]:
+    """Rollout key ``(path, configuration)`` of each player of ``state.vid``'s game, by
+    id: beyond ``player_cap``, ego and its ``player_cap - 1`` angularly nearest
+    neighbours.  Ego rolls out on its own path, a neighbour on its hypothesis."""
+    ego = obs[state.vid]
+    ids = sorted(obs)
+    if len(ids) > player_cap:
+        ranked = sorted((min((obs[j].theta - ego.theta) % TWO_PI,
+                             (ego.theta - obs[j].theta) % TWO_PI), j)
+                        for j in ids if j != state.vid)
+        ids = sorted({state.vid} | {j for _, j in ranked[:player_cap - 1]})
+    return {vid: (ego_path if vid == state.vid else state.est_path[vid], obs[vid]) for vid in ids}
+
+
+def rollout_step(views, prev: Mapping, game_params: GameParams, agent_params: AgentParams,
+                 delta: float, diameter: float = VEHICLE_DIAMETER) -> dict:
+    """Every rollout the games of ``views`` need, as a memo ``key -> (arclen, Rollout)``.
+
+    ``views`` holds ``(state, obs, ego_path)`` per deciding vehicle, after
+    ``update_estimates``.  A key found in ``prev`` (last step's memo; a stopped
+    vehicle repeats its key) reuses its entry, the other distinct keys are rolled
+    out in one ``rollout`` call.  The memo holds only these keys."""
+    memo, todo = {}, []
+    for state, obs, ego_path in views:
+        for key in _game_keys(state, obs, ego_path, agent_params.player_cap).values():
+            if key not in memo:
+                memo[key] = prev.get(key)
+                if memo[key] is None:
+                    todo.append(key)
+    if todo:
+        requests = [(path, path.project(*c.xy())[0] if c.arclen is None else c.arclen, c.v,
+                     c.status) for path, c in todo]
+        rolls = rollout(requests, game_params.strategy_accels, game_params.horizon, delta,
+                        diameter)
+        memo.update((key, (req[1], roll)) for key, req, roll in zip(todo, requests, rolls))
+    return memo
+
+
 def decide(state: AgentState, obs: Mapping[int, Configuration], ego_path: NavigationPath,
            geometry: Geometry, cost_params: CostParams, game_params: GameParams,
-           agent_params: AgentParams, delta: float, cache: Optional[dict] = None,
+           agent_params: AgentParams, delta: float, memo: Optional[dict] = None,
            diameter: float = VEHICLE_DIAMETER) -> DecisionResult:
     """One decision round for ``state.vid`` given its observation ``obs``.
 
     ``update_estimates`` must have run on the same ``obs``: every neighbour's
-    weight and hypothesis path are read from ``state``.  ``cache`` memoises
-    neighbour projections and rollouts within one step under the key
-    ``(id(path), obs[vid])``, so observers that hold the same hypothesis for
-    the same vehicle share its rollout.
+    weight and hypothesis path are read from ``state``.  Rollouts are read
+    from ``memo``, ``rollout_step``'s output; if it lacks one of this game's
+    keys, ``rollout_step`` runs for this vehicle alone.
     """
-    if cache is None:
-        cache = {}
     ego_id = state.vid
     ego = obs[ego_id]
-    ids = sorted(obs)
-    if len(ids) > agent_params.player_cap:
-        ranked = sorted((min((obs[j].theta - ego.theta) % TWO_PI,
-                             (ego.theta - obs[j].theta) % TWO_PI), j)
-                        for j in ids if j != ego_id)
-        keep = {ego_id} | {j for _, j in ranked[:agent_params.player_cap - 1]}
-        ids = sorted(keep)
-
-    weights = {vid: state.w_agg if vid == ego_id else state.w_hat[vid] for vid in ids}
-    accels, horizon = game_params.strategy_accels, game_params.horizon
-    rolls = {ego_id: rollout(ego_path, ego.arclen, ego.v, ego.status, accels, horizon,
-                             delta, diameter)}
-    arclen = {}
-    for vid in ids:
-        if vid == ego_id:
-            continue
-        path, c = state.est_path[vid], obs[vid]
-        key = (id(path), c)
-        hit = cache.get(key)
-        if hit is None:
-            s = path.project(*c.xy())[0]
-            hit = cache[key] = (s, rollout(path, s, c.v, c.status, accels, horizon,
-                                           delta, diameter))
-        arclen[vid], rolls[vid] = hit
+    keys = _game_keys(state, obs, ego_path, agent_params.player_cap)
+    if memo is None or any(key not in memo for key in keys.values()):
+        memo = rollout_step([(state, obs, ego_path)], memo or {}, game_params, agent_params,
+                            delta, diameter)
+    weights = {vid: state.w_agg if vid == ego_id else state.w_hat[vid] for vid in keys}
+    accels = game_params.strategy_accels
+    rolls = {vid: memo[key][1] for vid, key in keys.items()}
 
     order = tuple(order_players(weights))
     profile = _play(rolls, weights, order, cost_params, geometry.r_in)
@@ -244,9 +264,9 @@ def decide(state: AgentState, obs: Mapping[int, Configuration], ego_path: Naviga
             override = True
 
     state.rolls, state.order = rolls, order
-    state.pred_xy = {vid: step(replace(obs[vid], arclen=s), float(accels[profile[vid]]),
-                               delta, state.est_path[vid], diameter).xy()
-                     for vid, s in arclen.items()}
+    state.pred_xy = {vid: step(replace(obs[vid], arclen=memo[key][0]),
+                               float(accels[profile[vid]]), delta, key[0], diameter).xy()
+                     for vid, key in keys.items() if vid != ego_id}
     return DecisionResult(accel=accel, override=override, profile=profile, weights=weights)
 
 

@@ -39,6 +39,7 @@ independent reference the tensors are checked against.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -48,8 +49,8 @@ import numpy as np
 from .geometry import TWO_PI, Status
 
 # side windows on the ccw gap in [0, 2pi), front then back: [0, pi] and (0, pi)
-_WINDOW_LO = np.array([-np.inf, 0.0]).reshape(2, 1, 1, 1, 1, 1)
-_WINDOW_HI = np.array([math.pi, math.nextafter(math.pi, 0.0)]).reshape(2, 1, 1, 1, 1, 1)
+_WINDOW_LO = np.array([-np.inf, 0.0]).reshape(2, 1, 1, 1, 1)
+_WINDOW_HI = np.array([math.pi, math.nextafter(math.pi, 0.0)]).reshape(2, 1, 1, 1, 1)
 
 __all__ = ["CostParams", "horizon_weights", "payoff_tensors"]
 
@@ -89,35 +90,51 @@ def horizon_weights(lam: float, horizon: int) -> np.ndarray:
     return lam ** np.arange(horizon)
 
 
-def _pair_sides(trajs, stat, params: CostParams, r_in: float):
+@functools.lru_cache(maxsize=8)
+def _tables(params: CostParams, horizon: int):
+    """Discount weights, then by status code ``3 * ego + other`` the range a pair
+    counts within (none once either exited), the proximity coefficient and the
+    comfort wall (none where ``C_ins`` applies, ``D_en`` when merging)."""
+    ego, other = np.divmod(np.arange(9), 3)
+    soft = (ego == Status.INSIDE) & (other == Status.ENTER)
+    merge = (ego == Status.ENTER) & (other == Status.INSIDE)
+    reach = np.where((ego == Status.EXIT) | (other == Status.EXIT), -np.inf, params.D)
+    coef = np.where(soft, params.C_ins, params.C)
+    wall = np.where(soft, -np.inf, np.where(merge, params.D_en, params.D_c))
+    return horizon_weights(params.lam, horizon), reach, coef, wall
+
+
+@functools.lru_cache(maxsize=8)
+def _pairs(K: int):
+    """Ordered pairs ``p != q``, ego-major: index arrays of ``p``, ``q`` and the reverse pair."""
+    ego, other = np.nonzero(~np.eye(K, dtype=bool))
+    return ego, other, other * (K - 1) + ego - (ego > other)
+
+
+def _pair_sides(theta, rho, stat, params: CostParams, rules, r_in: float):
     """Front and back ``(candidate gap, side cost)`` for every ordered pair.
 
-    Arrays are ``(2, K, K, S, S, h)``, indexed ``[side, p, q, i, j, t]``:
-    front (0) or back (1), ego ``p`` playing ``i``, other ``q`` playing
-    ``j``, stage ``t``.  A gap of ``inf`` marks a vehicle outside ego's window
-    on that side, whose cost is 0.  The back gap and distance from ``p`` to
-    ``q`` are the front ones from ``q`` to ``p``, a transpose: each gap is
-    still reduced from its own raw angle difference (a mod of the negated
-    front gap would round tiny gaps to zero).
+    Arrays are ``(2, K, K - 1, S, S, h)``, indexed ``[side, p, r, i, j, t]``:
+    front (0) or back (1), ego ``p`` playing ``i``, its ``r``-th other player
+    in ascending id order playing ``j``, stage ``t``.  A gap of ``inf`` marks
+    a vehicle outside ego's window on that side, whose cost is 0.  The back
+    gap and distance from ``p`` to ``q`` are the front ones from ``q`` to
+    ``p``, a transpose: each gap is still reduced from its own raw angle
+    difference (a mod of the negated front gap would round tiny gaps to zero).
     """
-    theta = np.array([t.theta for t in trajs])
-    rho = np.array([t.rho for t in trajs])
-    fgap = (theta[None, :, None] - theta[:, None, :, None]) % TWO_PI
-    fd = np.hypot(r_in * fgap, np.abs(rho[:, None, :, None] - rho[None, :, None]))
-    swap = (1, 0, 3, 2, 4)
-    gap = np.array([fgap, fgap.transpose(swap)])
-    d = np.array([fd, fd.transpose(swap)])
-    ego, other = stat[:, None, :, None], stat[None, :, None]
-    alive = (ego != int(Status.EXIT)) & (other != int(Status.EXIT))
-    inside, enter = int(Status.INSIDE), int(Status.ENTER)
-    wall_thr = np.where((ego == enter) & (other == inside), params.D_en, params.D_c)
-    soft = (ego == inside) & (other == enter)
+    K, S, h = theta.shape
+    ego, other, rev = _pairs(K)
+    reach, coef, wall = rules
+    fgap = (theta[other][:, None] - theta[ego][:, :, None]) % TWO_PI
+    fd = np.hypot(r_in * fgap, np.abs(rho[ego][:, :, None] - rho[other][:, None]))
+    gap = np.array([fgap, fgap[rev].transpose(0, 2, 1, 3)])
+    d = np.array([fd, fd[rev].transpose(0, 2, 1, 3)])
+    code = 3 * stat[ego][:, :, None] + stat[other][:, None]
 
-    ok = alive & (d < params.D) & (gap > _WINDOW_LO) & (gap <= _WINDOW_HI)
-    quad = (params.D - d) ** 2
-    val = np.where(soft, params.C_ins * quad,
-                   params.C * quad + np.where(d <= wall_thr, params.E_inf, 0.0))
-    return np.where(ok, gap, np.inf), np.where(ok, val, 0.0)
+    ok = (d < reach[code]) & (gap > _WINDOW_LO) & (gap <= _WINDOW_HI)
+    val = coef[code] * (params.D - d) ** 2 + np.where(d <= wall[code], params.E_inf, 0.0)
+    shape = (2, K, K - 1, S, S, h)
+    return np.where(ok, gap, np.inf).reshape(shape), np.where(ok, val, 0.0).reshape(shape)
 
 
 def _nearest_safe(gap, cost, wts: np.ndarray) -> list:
@@ -132,12 +149,10 @@ def _nearest_safe(gap, cost, wts: np.ndarray) -> list:
     discounted sum.
     """
     _, K, _, S, _, h = gap.shape
-    ego = np.arange(K)
     for r in range(K - 1):
-        other = r + (ego <= r)  # r-th other player of each ego
         view = [2, K, S] + [1] * (K - 1) + [h]
         view[3 + r] = S
-        g, c = gap[:, ego, other].reshape(view), cost[:, ego, other].reshape(view)
+        g, c = gap[:, :, r].reshape(view), cost[:, :, r].reshape(view)
         if r == 0:
             best_gap, best_cost = g, c
         else:
@@ -162,9 +177,10 @@ def payoff_tensors(trajs: Sequence, w: Sequence, params: CostParams, r_in: float
     player's tensor is then ``(B,) + (S,) * K``.
 
     Gaps, distances, candidacy and side costs depend on the two members of
-    a pair only, so they are computed once for all ordered pairs in pair
-    space; only the nearest-neighbour selection runs in joint space.  The
-    speed term is one pass over all players.
+    a pair only, so they are computed once for the ``K(K-1)`` ordered pairs
+    ``p != q``, with the status rules looked up by the pair's status code;
+    only the nearest-neighbour selection runs in joint space.  The speed
+    term is one pass over all players.
     """
     K = len(trajs)
     S, h = trajs[0].theta.shape
@@ -172,9 +188,11 @@ def payoff_tensors(trajs: Sequence, w: Sequence, params: CostParams, r_in: float
         raise ValueError("players must share one strategy alphabet and horizon")
     stat = np.array([t.status for t in trajs])
     v = np.array([t.v for t in trajs])
-    wts = horizon_weights(params.lam, h)
-    safe = (_nearest_safe(*_pair_sides(trajs, stat, params, r_in), wts)
-            if K > 1 else [np.zeros(S)])
+    wts, *rules = _tables(params, h)
+    safe = [np.zeros(S)]
+    if K > 1:
+        theta, rho = np.array([t.theta for t in trajs]), np.array([t.rho for t in trajs])
+        safe = _nearest_safe(*_pair_sides(theta, rho, stat, params, rules, r_in), wts)
 
     dv2 = (params.v_l - v) ** 2
     speed = np.where(v > params.v_l, params.C_o * dv2,

@@ -19,19 +19,21 @@ exceeds it again.  Because centre distance is monotone along each block of
 every path built here, this hysteresis rule is equivalent to switching at the
 two crossing arclens.
 
-``rollout`` advances every strategy of the first-stage alphabet in scalar
-code and then maps all of its arclens to poses with a single ``pose_batch``
-call.  Poses stay on ``pose_batch`` rather than the scalar ``pose`` because
-numpy's ``arctan2`` and ``hypot`` differ from libm's in the last ulp at some
-points (about 3% of line and arc points sampled on the default geometry), so
-a scalar rollout would not reproduce the same arrays bit for bit.
+``rollout`` takes a batch of requests (a simulation step's worth) and
+advances every strategy of the first-stage alphabet of each in scalar code;
+then it maps the later stage arclens of all requests on one path to poses
+with a single ``pose_batch`` call, one per distinct path in the batch.  Poses
+stay on ``pose_batch`` rather than the scalar ``pose`` because numpy's
+``arctan2`` and ``hypot`` differ from libm's in the last ulp at some points
+(about 3% of line and arc points sampled on the default geometry), so a
+scalar rollout would not reproduce the same arrays bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -118,47 +120,47 @@ class Rollout:
     status: np.ndarray  # int8 Status codes
 
 
-def rollout(path: NavigationPath, arclen0: float, v0: float, status0: Status,
-            accels: Sequence[float], horizon: int, delta: float,
-            diameter: float = VEHICLE_DIAMETER) -> Rollout:
-    """``step`` over every strategy: same kernel, same hysteresis.
+def rollout(requests: Sequence[tuple], accels: Sequence[float], horizon: int, delta: float,
+            diameter: float = VEHICLE_DIAMETER) -> List[Rollout]:
+    """``step`` over every strategy of every request: same kernel, same hysteresis.
 
-    Strategy ``i`` applies the first-stage acceleration ``accels[i]`` at
-    stage 0 and coasts for the remaining ``horizon - 2`` steps; that is the
-    whole strategy space, as only the first stage is ever executed.  The
-    ``S x (horizon-1)`` stage arclens go through one ``pose_batch`` call; see
-    the module docstring for why poses are not taken from scalar ``pose``.
+    Each request ``(path, arclen0, v0, status0)`` gets one ``Rollout``, in
+    request order.  Strategy ``i`` applies the first-stage acceleration
+    ``accels[i]`` at stage 0 and coasts for the remaining ``horizon - 2``
+    steps; that is the whole strategy space, as only the first stage is ever
+    executed.  Stage 0 comes from scalar ``pose``; the later stage arclens
+    of all requests on one path go through one ``pose_batch`` call (see the
+    module docstring for why).
     """
-    v0 = float(v0)
-    arclen0 = float(arclen0)
-    _check_inputs(v0, delta)
-    n, h = len(accels), horizon
-    rho0, theta0, _ = path.pose(arclen0)
-    arcs, vels = [], []
-    for a in accels:
-        s, v = _advance(arclen0, v0, float(a), delta)
-        arc_row, vel_row = [s], [v0, v]
-        for _ in range(h - 2):
-            s, v = _advance(s, v, 0.0, delta)
-            arc_row.append(s)
-            vel_row.append(v)
-        arcs.append(arc_row)
-        vels.append(vel_row)
-    rho = np.empty((n, h))
-    theta = np.empty((n, h))
-    rho[:, 0] = rho0
-    theta[:, 0] = theta0
-    r_t, th_t, _ = path.pose_batch(np.ravel(arcs))
-    rho[:, 1:] = r_t.reshape(n, h - 1)
-    theta[:, 1:] = th_t.reshape(n, h - 1)
-    thr = path.r_in + diameter
+    accels = [float(a) for a in accels]
+    shape = (len(requests), len(accels), horizon)
+    rho, theta = np.empty(shape), np.empty(shape)
+    arcs, vels, on_path = [], [], {}
+    for k, (path, arclen0, v0, _) in enumerate(requests):
+        v0, arclen0 = float(v0), float(arclen0)
+        _check_inputs(v0, delta)
+        rho[k, :, 0], theta[k, :, 0], _ = path.pose(arclen0)
+        for a in accels:
+            s, v = _advance(arclen0, v0, a, delta)
+            arcs.append([s])
+            vels.append([v0, v])
+            for _ in range(horizon - 2):
+                s, v = _advance(s, v, 0.0, delta)
+                arcs[-1].append(s)
+                vels[-1].append(v)
+        on_path.setdefault(path, []).append(k)
+    arcs = np.array(arcs).reshape(shape[:2] + (horizon - 1,))
+    for path, ks in on_path.items():
+        r_t, th_t, _ = path.pose_batch(arcs[ks].ravel())
+        rho[ks, :, 1:] = r_t.reshape(len(ks), len(accels), horizon - 1)
+        theta[ks, :, 1:] = th_t.reshape(len(ks), len(accels), horizon - 1)
     codes = []
-    for r_row in rho[:, 1:].tolist():
-        st = status0
-        code_row = [st]
-        for r in r_row:
-            st = advance_status(st, r, thr)
-            code_row.append(st)
-        codes.append(code_row)
-    status = np.array(codes, dtype=np.int8)
-    return Rollout(theta=theta, rho=rho, v=np.array(vels), status=status)
+    for (path, _, _, status0), r_rows in zip(requests, rho[:, :, 1:].tolist()):
+        thr = path.r_in + diameter
+        for r_row in r_rows:
+            st = status0
+            codes.append([st] + [st := advance_status(st, r, thr) for r in r_row])
+    status = np.array(codes, dtype=np.int8).reshape(shape)
+    v = np.array(vels).reshape(shape)
+    return [Rollout(theta=theta[k], rho=rho[k], v=v[k], status=status[k])
+            for k in range(len(requests))]

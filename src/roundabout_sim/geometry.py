@@ -18,9 +18,10 @@ right/straight/left maneuvers):
   to the arm axis; the lane's lateral offset ``(r_in + r_en)*sin(theta/2) -
   r_en`` falls out of the tangency instead of being a free parameter.
 
-Every joint is tangent-continuous and the lateral lane offsets keep entry and
-exit lanes of all arms more than one vehicle diameter apart, so no two paths
-overlap head-on.
+Every joint is tangent-continuous.  Below a connector angle of ``2*asin(r_en /
+(r_in + r_en))`` (0.58 rad by default) the lane offset is negative, as at the
+default right and left angles 0.38 and 0.40: their lanes stay 5.4 m apart, but
+an arm's right/left entry connectors cross its right/left exit ones near rho 21.5 m.
 
 Arclength is the single path coordinate.  ``pose`` maps it to the polar
 configuration ``(rho, theta)`` plus the block label (enter / inside / exit),
@@ -167,9 +168,9 @@ class Segment:
                 self.ay + self.radius * math.sin(psi))
 
 
-@dataclass
+@dataclass(eq=False)
 class NavigationPath:
-    """Immutable polyline-of-arcs path with arclen as the sole coordinate."""
+    """Immutable polyline-of-arcs path with arclen as the sole coordinate, equal only to itself."""
 
     exit_arm: int | None
     segments: list

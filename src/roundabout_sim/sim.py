@@ -1,8 +1,10 @@
 """Closed-loop multi-vehicle simulation.
 
-Synchronous stepping: at each step every live vehicle observes the same
-pre-move world, updates its estimates, and commits an acceleration; then all
-vehicles move together.  Vehicles negotiate only while entering or inside:
+Synchronous stepping over the same pre-move world, in three passes: every
+negotiating vehicle observes and updates its estimates; one
+``agent.rollout_step`` rolls out the players of every game, reusing last
+step's rollouts; every vehicle commits an acceleration.  Then all vehicles
+move together.  Vehicles negotiate only while entering or inside:
 once a vehicle has left the occupancy disc on its exit leg it stops taking
 part — it is invisible to the others, runs no game, simply speeds back up
 toward the limit, and no longer counts toward collision or proximity
@@ -26,7 +28,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .agent import AgentParams, AgentState, decide, observe, update_estimates
+from .agent import AgentParams, AgentState, decide, observe, rollout_step, update_estimates
 from .cost import CostParams
 from .dynamics import VEHICLE_DIAMETER, Configuration, step
 from .game import GameParams
@@ -193,26 +195,31 @@ def run_simulation(n_vehicles: int, seed: int, geometry: Geometry,
     rows: List[TraceRow] = []
     collision = None
     min_distance, _ = min_pairwise([(v.config.r, v.config.theta) for v in vehicles.values()])
+    memo: dict = {}
     t = 0
     while t < sim_params.max_steps:
         live = {vid: v for vid, v in vehicles.items() if not v.removed}
         configs = {vid: v.config for vid, v in live.items()}
-        cache: dict = {}
+        views = {}
+        for vid in sorted(live):
+            if configs[vid].status != Status.EXIT:
+                obs = views[vid] = observe(vid, configs, geometry, cost_params)
+                update_estimates(agents[vid], obs, geometry, cost_params, agent_params,
+                                 sim_params.delta)
+        memo = rollout_step([(agents[vid], obs, live[vid].path) for vid, obs in views.items()],
+                            memo, game_params, agent_params, sim_params.delta, diameter)
         now: List[TraceRow] = []
         for vid in sorted(live):
             cfg = configs[vid]
-            if cfg.status == Status.EXIT:
+            if vid not in views:
                 # out of the negotiation: just get back up to speed and leave
                 accel = _cruise_accel(cfg.v, cost_params.v_l, sim_params.delta,
                                       game_params.strategy_accels)
                 est, override, pred = {}, False, {}
             else:
-                obs = observe(vid, configs, geometry, cost_params)
-                update_estimates(agents[vid], obs, geometry, cost_params, agent_params,
-                                 sim_params.delta)
-                d = decide(agents[vid], obs, live[vid].path, geometry,
+                d = decide(agents[vid], views[vid], live[vid].path, geometry,
                            cost_params, game_params, agent_params,
-                           sim_params.delta, cache, diameter)
+                           sim_params.delta, memo, diameter)
                 accel, est, override = d.accel, d.weights, d.override
                 pred = {j: float(game_params.strategy_accels[d.profile[j]])
                         for j in d.profile if j != vid}

@@ -20,6 +20,7 @@ from roundabout_sim.dynamics import Configuration, rollout
 from roundabout_sim.game import GameParams
 from roundabout_sim.geometry import (
     Maneuver,
+    NavigationPath,
     PathKind,
     RoundaboutSpec,
     Status,
@@ -213,16 +214,16 @@ class TestReestimateOracle:
 
 
 class TestFrozenGame:
-    """``state.rolls`` is the game just played; the per-step memo only saves work."""
+    """``state.rolls`` is the game just played; the step memo only saves work."""
 
     def test_frozen_rollouts_equal_fresh_ones(self, geom, monkeypatch):
         real = sim.decide
         players = []
 
         def checked(state, obs, ego_path, geometry, cost_params, game_params,
-                    agent_params, delta, cache, diameter):
+                    agent_params, delta, memo, diameter):
             d = real(state, obs, ego_path, geometry, cost_params, game_params,
-                     agent_params, delta, cache, diameter)
+                     agent_params, delta, memo, diameter)
             assert set(state.rolls) == set(d.profile)
             for vid, roll in state.rolls.items():
                 c = obs[vid]
@@ -231,8 +232,8 @@ class TestFrozenGame:
                 else:
                     path = state.est_path[vid]
                     s = path.project(*c.xy())[0]
-                fresh = rollout(path, s, c.v, c.status, game_params.strategy_accels,
-                                game_params.horizon, delta, diameter)
+                fresh = rollout([(path, s, c.v, c.status)], game_params.strategy_accels,
+                                game_params.horizon, delta, diameter)[0]
                 for name in ("theta", "rho", "v", "status"):
                     got, want = getattr(roll, name), getattr(fresh, name)
                     assert got.dtype == want.dtype and got.shape == want.shape
@@ -245,25 +246,62 @@ class TestFrozenGame:
         assert len(players) > 100 and max(players) >= 3
 
     def test_memo_is_output_neutral_and_used(self, geom, monkeypatch):
-        real_rollout, real_decide = agent.rollout, sim.decide
-        calls = []
+        real_rollout, real_decide, real_step = agent.rollout, sim.decide, sim.rollout_step
+        computed = []
 
-        def counting(*args):
-            calls.append(1)
-            return real_rollout(*args)
+        def counting(requests, *args):
+            computed.append(len(requests))
+            return real_rollout(requests, *args)
 
         def runs():
-            calls.clear()
-            return [run_simulation(8, seed, geom).rows for seed in (42, 43, 44)], len(calls)
+            computed.clear()
+            return [run_simulation(8, seed, geom).rows for seed in (42, 43, 44)], sum(computed)
 
         monkeypatch.setattr(agent, "rollout", counting)
         shared_rows, shared_calls = runs()
+        # no reuse across steps: every step starts from an empty memo
+        monkeypatch.setattr(sim, "rollout_step",
+                            lambda views, prev, *args: real_step(views, {}, *args))
+        stepwise_rows, stepwise_calls = runs()
+        # no memo at all: every decision rolls out its own game
+        monkeypatch.setattr(sim, "rollout_step", lambda *args: {})
         monkeypatch.setattr(sim, "decide",
                             lambda *args: real_decide(*args[:8], None, *args[9:]))
         fresh_rows, fresh_calls = runs()
         assert shared_rows == fresh_rows
+        assert stepwise_rows == fresh_rows
         assert any(row.pred for row in shared_rows[0])
-        assert shared_calls < fresh_calls
+        assert shared_calls < stepwise_calls < fresh_calls
+
+
+class TestStagedStep:
+    def test_one_rollout_call_and_one_pose_batch_per_path_per_step(self, geom, monkeypatch):
+        real_rollout, real_step = agent.rollout, sim.rollout_step
+        real_pose_batch = NavigationPath.pose_batch
+        posed = []      # the paths posed by each rollout call
+        per_step = []   # rollout calls made by each step's pass 2
+
+        def counting(*args):
+            posed.append([])
+            return real_rollout(*args)
+
+        def pose_batch(path, arclens):
+            posed[-1].append(path)
+            return real_pose_batch(path, arclens)
+
+        def staged(*args):
+            before = len(posed)
+            memo = real_step(*args)
+            per_step.append(len(posed) - before)
+            return memo
+
+        monkeypatch.setattr(agent, "rollout", counting)
+        monkeypatch.setattr(NavigationPath, "pose_batch", pose_batch)
+        monkeypatch.setattr(sim, "rollout_step", staged)
+        steps = sum(run_simulation(8, seed, geom).n_steps for seed in (42, 43, 44))
+        assert len(per_step) == steps and max(per_step) == 1
+        assert sum(per_step) == len(posed)  # decisions roll nothing out themselves
+        assert all(paths and len(paths) == len(set(paths)) for paths in posed)
 
 
 class TestDecide:

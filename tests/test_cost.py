@@ -219,7 +219,7 @@ class TestPayoffTensors:
             st0 = Status.ENTER if rho0 > geom.r_in + 4.5 else Status.INSIDE
             paths.append(path)
             starts.append((s0, v0, st0))
-            trajs.append(rollout(path, s0, v0, st0, DEFAULT_ACCELS, horizon, delta))
+            trajs.append(rollout([(path, s0, v0, st0)], DEFAULT_ACCELS, horizon, delta)[0])
             w.append(data.draw(st.sampled_from([0.1, 0.5, 0.9])))
         costs = payoff_tensors(trajs, w, params, geom.r_in)
         # w = 0 and w = 1 read the safety and speed terms out exactly
@@ -245,7 +245,7 @@ class TestRolloutCoherence:
         strategies = build_strategies(horizon=4)
         rho0, theta0, _ = path.pose(s0)
         st0 = Status.ENTER if rho0 > geom.r_in + 4.5 else Status.INSIDE
-        R = rollout(path, s0, v0, st0, DEFAULT_ACCELS, 4, 0.25)
+        R = rollout([(path, s0, v0, st0)], DEFAULT_ACCELS, 4, 0.25)[0]
         for i, seq in enumerate(strategies):
             c = Configuration(r=rho0, theta=theta0, v=v0, status=st0, arclen=s0)
             for tau in range(1, 4):
@@ -275,7 +275,7 @@ def rollout_pool(geom, horizon, delta=0.25):
         rho0, _, label = path.pose(s0)
         st0 = Status.ENTER if label == Status.ENTER else (
             Status.EXIT if label == Status.EXIT and rho0 > thr else Status.INSIDE)
-        pool.append(rollout(path, s0, v0, st0, DEFAULT_ACCELS, horizon, delta))
+        pool.append(rollout([(path, s0, v0, st0)], DEFAULT_ACCELS, horizon, delta)[0])
     return pool
 
 
@@ -318,8 +318,8 @@ class TestPayoffTensorsBitIdentity:
         for offsets in [(0.0, 0.0), (0.0, 4.0, 8.0), (0.0, 5.9, 6.0, 6.1),
                         (0.0, 30.0, 60.0, 90.0), (0.0, 0.0, 3.0, 3.0)]:
             for path in (circle, entry):
-                trajs = [rollout(path, 10.0 + o, 7.0, path.pose(10.0 + o)[2],
-                                 DEFAULT_ACCELS, 4, 0.25) for o in offsets]
+                trajs = [rollout([(path, 10.0 + o, 7.0, path.pose(10.0 + o)[2])],
+                                 DEFAULT_ACCELS, 4, 0.25)[0] for o in offsets]
                 self.assert_same(trajs, [0.5] * len(trajs), params, geom.r_in)
 
     @pytest.mark.parametrize("horizon", [4, 9])
@@ -364,7 +364,7 @@ class TestPayoffTensorsBitIdentity:
 
     def test_unequal_alphabets_rejected(self, geom):
         circle = geom.circle
-        a = rollout(circle, 0.0, 5.0, Status.INSIDE, DEFAULT_ACCELS, 4, 0.25)
-        b = rollout(circle, 9.0, 5.0, Status.INSIDE, (-10.0, 0.0, 10.0), 4, 0.25)
+        a = rollout([(circle, 0.0, 5.0, Status.INSIDE)], DEFAULT_ACCELS, 4, 0.25)[0]
+        b = rollout([(circle, 9.0, 5.0, Status.INSIDE)], (-10.0, 0.0, 10.0), 4, 0.25)[0]
         with pytest.raises(ValueError):
             payoff_tensors([a, b], [0.5, 0.5], CostParams(), geom.r_in)

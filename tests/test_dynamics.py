@@ -146,12 +146,51 @@ class TestRollout:
                 label = path.pose(s0)[2]
                 for v0 in (0.0, 1.0, 7.3, 14.0):
                     for st0 in {label, Status.ENTER}:
-                        got = rollout(path, s0, v0, st0, DEFAULT_ACCELS, horizon, 0.25)
+                        got = rollout([(path, s0, v0, st0)], DEFAULT_ACCELS, horizon, 0.25)[0]
                         ref = reference_rollout(path, s0, v0, st0, schedule, 0.25)
                         for name, want in zip(("theta", "rho", "v", "status"), ref):
                             arr = getattr(got, name)
                             assert arr.dtype == want.dtype, name
                             assert np.array_equal(arr, want), (name, s0, v0, st0)
+
+    @pytest.mark.parametrize("ways", [3, 4])
+    def test_mixed_batches_bit_identical_to_reference(self, ways):
+        # every path and hypothesis, segment starts and their float neighbours,
+        # each request twice, shuffled into batches that mix paths and repeat them
+        geom = build_roundabout(RoundaboutSpec(ways=ways))
+        schedule = build_strategies(DEFAULT_ACCELS, 4)
+        requests = [(path, s0, v0, st0) for path in all_paths(geom)
+                    for s0 in boundary_arclens(path) for v0 in (0.0, 1.0, 7.3, 14.0)
+                    for st0 in {path.pose(s0)[2], Status.ENTER}]
+        requests = requests + requests[::3]
+        rng = np.random.default_rng(ways)
+        order = rng.permutation(len(requests))
+        cuts = np.cumsum(rng.integers(1, 60, size=len(requests)))
+        cuts = [0] + [int(c) for c in cuts[cuts < len(requests)]] + [len(requests)]
+        checked = 0
+        for lo, hi in zip(cuts, cuts[1:]):
+            batch = [requests[k] for k in order[lo:hi]]
+            for req, got in zip(batch, rollout(batch, DEFAULT_ACCELS, 4, 0.25), strict=True):
+                ref = reference_rollout(*req, schedule, 0.25)
+                for name, want in zip(("theta", "rho", "v", "status"), ref):
+                    arr = getattr(got, name)
+                    assert arr.dtype == want.dtype and arr.shape == want.shape, name
+                    assert np.array_equal(arr, want), (name, req[1:])
+                checked += 1
+        assert checked == len(requests)
+
+    def test_one_pose_batch_per_path_per_call(self, geom, monkeypatch):
+        paths = [geom.circle, geom.paths[PathKind(Maneuver.GO_STRAIGHT, 0)]]
+        calls = []
+        for path in paths:
+            original = path.pose_batch
+            monkeypatch.setattr(path, "pose_batch",
+                                lambda s, path=path, original=original:
+                                calls.append((path, len(s))) or original(s))
+        requests = [(paths[k % 2], 10.0 + k, 8.0, Status.INSIDE) for k in range(5)]
+        assert len(rollout(requests, DEFAULT_ACCELS, 4, 0.25)) == 5
+        assert calls == [(paths[0], 3 * 5 * 3), (paths[1], 2 * 5 * 3)]
+        assert rollout([], DEFAULT_ACCELS, 4, 0.25) == []
 
     def test_one_pose_batch_per_rollout(self, geom, monkeypatch):
         path = geom.paths[PathKind(Maneuver.GO_STRAIGHT, 0)]
@@ -163,13 +202,13 @@ class TestRollout:
             return original(s)
 
         monkeypatch.setattr(path, "pose_batch", counting)
-        rollout(path, 10.0, 8.0, Status.ENTER, DEFAULT_ACCELS, 4, 0.25)
+        rollout([(path, 10.0, 8.0, Status.ENTER)], DEFAULT_ACCELS, 4, 0.25)
         assert calls == [5 * 3]
 
     def test_rejects_bad_delta_and_speed(self, geom):
         path = geom.circle
         for delta in (0.0, -0.25):
             with pytest.raises(ValueError, match="delta"):
-                rollout(path, 0.0, 5.0, Status.INSIDE, DEFAULT_ACCELS, 4, delta)
+                rollout([(path, 0.0, 5.0, Status.INSIDE)], DEFAULT_ACCELS, 4, delta)
         with pytest.raises(ValueError, match="speed"):
-            rollout(path, 0.0, -1.0, Status.INSIDE, DEFAULT_ACCELS, 4, 0.25)
+            rollout([(path, 0.0, -1.0, Status.INSIDE)], DEFAULT_ACCELS, 4, 0.25)

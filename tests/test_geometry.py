@@ -177,10 +177,37 @@ class TestPathConstruction:
                 d = np.linalg.norm(pa[:, None, :] - pb[None, :, :], axis=2)
                 assert d.min() > 4.5
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="right/left connectors of one arm cross: the lane offset "
+                       "(r_in+r_en)*sin(theta/2) - r_en is negative for theta < 0.58")
+    def test_connectors_of_one_arm_never_closer_than_vehicle_diameter(self, geom):
+        # entry connectors of an arm against the exit connectors at that arm
+        def arc_points(seg):
+            return np.array([seg.point_at(t) for t in np.linspace(0.0, seg.length, 400)])
+
+        for arm in range(geom.spec.ways):
+            entries = [arc_points(p.segments[1]) for k, p in geom.paths.items() if k.arm == arm]
+            exits = [arc_points(p.segments[-2]) for p in geom.paths.values()
+                     if p.exit_arm == arm]
+            for pa in entries:
+                for pb in exits:
+                    d = np.linalg.norm(pa[:, None, :] - pb[None, :, :], axis=2)
+                    assert d.min() >= 4.5, arm
+
 
 def _xy(path, s):
     rho, theta, _ = path.pose(s)
     return rho * math.cos(theta), rho * math.sin(theta)
+
+
+class TestPathIdentity:
+    def test_paths_compare_and_hash_by_identity(self):
+        kind = PathKind(Maneuver.GO_STRAIGHT, 0)
+        p = build_roundabout(RoundaboutSpec()).paths[kind]
+        q = build_roundabout(RoundaboutSpec()).paths[kind]
+        assert (p == q) is False and p == p
+        memo = {p: "p", q: "q"}
+        assert memo[p] == "p" and memo[q] == "q" and len({p, q, p}) == 2
 
 
 class TestPose:

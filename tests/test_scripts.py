@@ -1,9 +1,13 @@
-"""The command-line scripts and the benchmark self-test, each run as a subprocess."""
+"""The command-line scripts and the benchmark self-test, run as subprocesses; the
+statistics of the benchmark pair comparison, imported."""
 
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -40,3 +44,43 @@ class TestBenchmark:
         # self-test fails when a layer it traces is no longer called that way
         lines = run(["bench/selftest.py"], ROOT, timeout=600)
         assert lines[-1] == "selftest passed"
+
+
+class TestBenchPairs:
+    @pytest.fixture(scope="class")
+    def bench_pairs(self):
+        spec = importlib.util.spec_from_file_location("bench_pairs",
+                                                      ROOT / "scripts" / "bench_pairs.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    def test_wins_follow_the_better_direction_and_ties_count_for_neither(self, bench_pairs):
+        parent = [10.0, 11.0, 12.0, 13.0, 14.0]
+        change = [12.0, 11.0, 15.0, 12.0, 16.0]
+        up = bench_pairs.compare(parent, change, "higher")
+        down = bench_pairs.compare(parent, change, "lower")
+        assert (up["wins"], up["losses"]) == (3, 1) and (down["wins"], down["losses"]) == (1, 3)
+        assert up["parent"] == {"q1": 11.0, "median": 12.0, "q3": 13.0}
+        assert up["change"]["median"] == 12.0 and up["ratio"] == 1.0
+        assert not up["beyond_parent_iqr"]
+        far = bench_pairs.compare(parent, [20.0] * 5, "higher")
+        assert far["wins"] == 5 and far["ratio"] == 20.0 / 12.0 and far["beyond_parent_iqr"]
+
+    def test_single_pair_zero_median_and_unpaired_runs(self, bench_pairs):
+        one = bench_pairs.compare([0.0], [1.0], "higher")
+        assert one["parent"] == {"q1": 0.0, "median": 0.0, "q3": 0.0}
+        assert one["ratio"] is None and one["wins"] == 1 and one["beyond_parent_iqr"]
+        with pytest.raises(ValueError):
+            bench_pairs.compare([1.0, 2.0], [1.0], "higher")
+
+    def test_src_digest_names_the_source_files_only(self, bench_pairs, tmp_path):
+        pkg = tmp_path / "src" / "pkg"
+        (pkg / "__pycache__").mkdir(parents=True)
+        (pkg / "a.py").write_text("x = 1\n")
+        first = bench_pairs.src_sha256(tmp_path)
+        (pkg / "__pycache__" / "a.pyc").write_bytes(b"\0")
+        (tmp_path / "README.md").write_text("outside src\n")
+        assert bench_pairs.src_sha256(tmp_path) == first
+        (pkg / "a.py").write_text("x = 2\n")
+        assert bench_pairs.src_sha256(tmp_path) != first

@@ -167,3 +167,12 @@ class TestTermination:
         a = run_simulation(6, 21, geom)
         b = run_simulation(6, 21, geom)
         assert a == b
+
+
+class TestDefaultEnvelope:
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="vehicle 2 (entering left at arm 2) and 5 (right turn leaving "
+                       "at arm 2) meet at step 34 where their connectors cross")
+    def test_crossing_connectors_do_not_collide(self, geom):
+        for n in (7, 8):
+            assert run_simulation(n, 500036, geom).collision is None, n
