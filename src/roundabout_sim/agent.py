@@ -14,11 +14,11 @@ Each vehicle runs the same loop every control step:
    neighbour's observed position deviates from the position predicted for it
    at the previous step by more than ``eps_dev``, the estimator replays last
    step's two-player game between itself and that neighbour under every
-   candidate weight (one batched solve over the rollouts frozen at decision
-   time) and keeps the weight whose equilibrium first-stage acceleration
-   best explains the observed speed change; ties stick near the previous
-   estimate, then prefer the smaller weight.  The hypothesis path is
-   re-estimated at the same time.
+   candidate weight (one batched solve over the rollouts and pair prices
+   frozen at decision time) and keeps the weight whose equilibrium
+   first-stage acceleration best explains the observed speed change; ties
+   stick near the previous estimate, then prefer the smaller weight.  The
+   hypothesis path is re-estimated at the same time.
 
 3. **Decide** by building the sequential game among the observed vehicles
    (most aggressive first, by estimated weight; ego uses its true weight) and
@@ -36,25 +36,29 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Dict, Mapping, Optional
+from typing import Dict, Mapping, NamedTuple, Optional
 
 import numpy as np
 
-from .cost import CostParams, payoff_tensors
+from .cost import CostParams, pair_order, pair_sides, payoff_tensors
 from .dynamics import VEHICLE_DIAMETER, Configuration, Rollout, rollout, step
 from .game import GameParams, order_players, tensor_equilibrium
 from .geometry import TWO_PI, Geometry, NavigationPath, Status
 
 DEFAULT_W_GRID = tuple(round(0.1 * k, 1) for k in range(1, 10))
+#: ``prepare_step``'s output: ``rolls`` maps a key to ``(arclen, Rollout)``, ``games`` a decider
+#: to its players' keys by id and its pairs' rows (``pair_order``) on axis 2 of ``sides``
+StepPrep = NamedTuple("StepPrep", [("rolls", dict), ("games", dict), ("sides", np.ndarray)])
 
 __all__ = [
     "AgentParams",
     "AgentState",
     "DecisionResult",
+    "StepPrep",
     "observe",
     "estimate_path",
     "update_estimates",
-    "rollout_step",
+    "prepare_step",
     "decide",
 ]
 
@@ -95,9 +99,10 @@ class AgentParams:
 class AgentState:
     """Everything one vehicle remembers between steps.
 
-    ``rolls`` (every player's rollout, ego included) and ``order`` freeze the
-    last game this vehicle played; the estimator replays it when a neighbour
-    strays from its prediction in ``pred_xy``.
+    ``rolls`` (every player's rollout, ego included), ``order`` and ``sides``
+    (its ordered pairs' ``pair_sides`` rows in ``pair_order``; ``None`` for one
+    player) freeze the last game this vehicle played; the estimator replays
+    it when a neighbour strays from its prediction in ``pred_xy``.
     """
 
     vid: int
@@ -109,6 +114,7 @@ class AgentState:
     pred_xy: Dict[int, tuple] = field(default_factory=dict)
     rolls: Dict[int, Rollout] = field(default_factory=dict)
     order: tuple = ()
+    sides: Optional[np.ndarray] = None
 
 
 @dataclass(frozen=True)
@@ -205,53 +211,64 @@ def _game_keys(state: AgentState, obs: Mapping[int, Configuration], ego_path: Na
     return {vid: (ego_path if vid == state.vid else state.est_path[vid], obs[vid]) for vid in ids}
 
 
-def rollout_step(views, prev: Mapping, game_params: GameParams, agent_params: AgentParams,
-                 delta: float, diameter: float = VEHICLE_DIAMETER) -> dict:
-    """Every rollout the games of ``views`` need, as a memo ``key -> (arclen, Rollout)``.
+def prepare_step(views, prev: Optional[StepPrep], cost_params: CostParams,
+                 game_params: GameParams, agent_params: AgentParams, delta: float,
+                 r_in: float, diameter: float = VEHICLE_DIAMETER) -> StepPrep:
+    """Every rollout and pair price the games of ``views`` need.
 
     ``views`` holds ``(state, obs, ego_path)`` per deciding vehicle, after
-    ``update_estimates``.  A key found in ``prev`` (last step's memo; a stopped
-    vehicle repeats its key) reuses its entry, the other distinct keys are rolled
-    out in one ``rollout`` call.  The memo holds only these keys."""
-    memo, todo = {}, []
+    ``update_estimates``.  A key found in ``prev.rolls`` (last step's; a stopped
+    vehicle repeats its key) reuses its rollout, the other distinct keys are
+    rolled out in one ``rollout`` call.  Every game's ordered pairs, deduplicated
+    by their two keys, are then priced in one ``pair_sides`` call."""
+    rolls, todo, rows, games = {}, [], {}, {}
     for state, obs, ego_path in views:
-        for key in _game_keys(state, obs, ego_path, agent_params.player_cap).values():
-            if key not in memo:
-                memo[key] = prev.get(key)
-                if memo[key] is None:
+        keys = _game_keys(state, obs, ego_path, agent_params.player_cap)
+        for key in keys.values():
+            if key not in rolls:
+                rolls[key] = prev.rolls.get(key) if prev is not None else None
+                if rolls[key] is None:
                     todo.append(key)
+        ks = list(keys.values())
+        games[state.vid] = keys, [rows.setdefault((ks[p], ks[q]), len(rows))
+                                  for p, q in zip(*pair_order(len(ks))[:2])]
     if todo:
         requests = [(path, path.project(*c.xy())[0] if c.arclen is None else c.arclen, c.v,
                      c.status) for path, c in todo]
-        rolls = rollout(requests, game_params.strategy_accels, game_params.horizon, delta,
-                        diameter)
-        memo.update((key, (req[1], roll)) for key, req, roll in zip(todo, requests, rolls))
-    return memo
+        done = rollout(requests, game_params.strategy_accels, game_params.horizon, delta,
+                       diameter)
+        rolls.update((key, (req[1], roll)) for key, req, roll in zip(todo, requests, done))
+    slot = {key: k for k, key in enumerate(rolls)}
+    sides = pair_sides([roll for _, roll in rolls.values()], [slot[p] for p, _ in rows],
+                       [slot[q] for _, q in rows], [rows[q, p] for p, q in rows],
+                       cost_params, r_in) if rows else None
+    return StepPrep(rolls, games, sides)
 
 
 def decide(state: AgentState, obs: Mapping[int, Configuration], ego_path: NavigationPath,
            geometry: Geometry, cost_params: CostParams, game_params: GameParams,
-           agent_params: AgentParams, delta: float, memo: Optional[dict] = None,
+           agent_params: AgentParams, delta: float, prep: Optional[StepPrep] = None,
            diameter: float = VEHICLE_DIAMETER) -> DecisionResult:
     """One decision round for ``state.vid`` given its observation ``obs``.
 
     ``update_estimates`` must have run on the same ``obs``: every neighbour's
-    weight and hypothesis path are read from ``state``.  Rollouts are read
-    from ``memo``, ``rollout_step``'s output; if it lacks one of this game's
-    keys, ``rollout_step`` runs for this vehicle alone.
+    weight and hypothesis path are read from ``state``.  Rollouts and pair
+    rows (one gather) come from ``prep``, ``prepare_step``'s output for views
+    that hold this one; without it, ``prepare_step`` runs for this one alone.
     """
     ego_id = state.vid
     ego = obs[ego_id]
-    keys = _game_keys(state, obs, ego_path, agent_params.player_cap)
-    if memo is None or any(key not in memo for key in keys.values()):
-        memo = rollout_step([(state, obs, ego_path)], memo or {}, game_params, agent_params,
-                            delta, diameter)
+    if prep is None:
+        prep = prepare_step([(state, obs, ego_path)], None, cost_params, game_params,
+                            agent_params, delta, geometry.r_in, diameter)
+    keys, rows = prep.games[ego_id]
     weights = {vid: state.w_agg if vid == ego_id else state.w_hat[vid] for vid in keys}
     accels = game_params.strategy_accels
-    rolls = {vid: memo[key][1] for vid, key in keys.items()}
+    rolls = {vid: prep.rolls[key][1] for vid, key in keys.items()}
+    sides = prep.sides[:, :, rows] if rows else None
 
     order = tuple(order_players(weights))
-    profile = _play(rolls, weights, order, cost_params, geometry.r_in)
+    profile = _play(rolls, weights, order, sides, cost_params)
     accel = float(accels[profile[ego_id]])
 
     override = False
@@ -263,36 +280,42 @@ def decide(state: AgentState, obs: Mapping[int, Configuration], ego_path: Naviga
             accel = agent_params.deadlock_accel
             override = True
 
-    state.rolls, state.order = rolls, order
-    state.pred_xy = {vid: step(replace(obs[vid], arclen=memo[key][0]),
+    state.rolls, state.order, state.sides = rolls, order, sides
+    state.pred_xy = {vid: step(replace(obs[vid], arclen=prep.rolls[key][0]),
                                float(accels[profile[vid]]), delta, key[0], diameter).xy()
                      for vid, key in keys.items() if vid != ego_id}
     return DecisionResult(accel=accel, override=override, profile=profile, weights=weights)
 
 
-def _play(rolls, weights, order, cost_params, r_in):
-    """Solve the game of ``weights``' players, moving in ``order``, over ``rolls``: a strategy
-    index per player, or a list of them (one per game) when the weights carry a batch axis."""
+def _play(rolls, weights, order, sides, cost_params):
+    """Solve the game of ``weights``' players, moving in ``order``, over ``rolls`` and pair rows
+    ``sides``: a strategy index per player, or a list (one per game) for batched weights."""
     ids = sorted(weights)
-    costs = payoff_tensors([rolls[v] for v in ids], [weights[v] for v in ids], cost_params, r_in)
+    costs = payoff_tensors([rolls[v] for v in ids], [weights[v] for v in ids], sides,
+                           cost_params)
     axis_of = {vid: k for k, vid in enumerate(ids)}
     prof = tensor_equilibrium(costs, [axis_of[v] for v in order if v in axis_of])
     return dict(zip(ids, np.transpose(prof).tolist()))
 
 
 def _reestimate(state: AgentState, j: int, obs_j: Configuration,
-                cost_params: CostParams, agent_params: AgentParams,
-                delta: float, r_in: float) -> float:
+                cost_params: CostParams, agent_params: AgentParams, delta: float) -> float:
     """Replay last step's two-player game under every candidate weight; pick the best fit.
 
     The games for all weights are priced by one ``payoff_tensors`` call with
-    a column of candidate weights and solved as one batch, on the rollouts
-    and the decision order frozen in ``state`` at decision time.
+    a column of candidate weights and solved as one batch, on the rollouts,
+    the decision order and the pair rows frozen in ``state`` at decision time:
+    no pair is priced again, the rows of ``(ego, j)`` and ``(j, ego)`` are
+    selected in their ``pair_order``.
     """
+    ids = sorted(state.rolls)
+    ego, other, _ = pair_order(len(ids))
+    sides = state.sides[:, :, [n for n, (p, q) in enumerate(zip(ego, other))
+                               if {ids[p], ids[q]} == {state.vid, j}]]
     grid = np.array(agent_params.w_grid, dtype=float)[:, None, None]
     w_ego = (np.full_like(grid, state.w_agg)
              if agent_params.estimator_ego_uses_true_weight else grid)
-    profile = _play(state.rolls, {state.vid: w_ego, j: grid}, state.order, cost_params, r_in)
+    profile = _play(state.rolls, {state.vid: w_ego, j: grid}, state.order, sides, cost_params)
     v_prev = state.rolls[j].v[0, 0]
     a_obs = (obs_j.v - v_prev) / delta
     v1 = state.rolls[j].v[profile[j], 1]
@@ -318,8 +341,7 @@ def update_estimates(state: AgentState, obs: Mapping[int, Configuration],
         pred = state.pred_xy.get(vid)
         x, y = c.xy()
         if pred is not None and math.hypot(x - pred[0], y - pred[1]) > agent_params.eps_dev:
-            state.w_hat[vid] = _reestimate(state, vid, c, cost_params, agent_params,
-                                           delta, geometry.r_in)
+            state.w_hat[vid] = _reestimate(state, vid, c, cost_params, agent_params, delta)
             state.est_path[vid] = estimate_path(
                 c, geometry, prev=state.prev_obs.get(vid), eps_r=agent_params.eps_r)
     state.prev_obs = {vid: obs[vid] for vid in obs if vid != ego_id}

@@ -32,6 +32,7 @@ import math
 import os
 import re
 import sys
+import traceback
 from dataclasses import dataclass, fields
 from multiprocessing import Pool
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -353,7 +354,7 @@ def _run_one(task):
             write_trace(result, trace_path)
         return run_stats(result), None
     except Exception as exc:  # noqa: BLE001 - report and keep going
-        return None, f"n={n} seed={seed}: {exc}"
+        return None, f"n={n} seed={seed}: {exc}\n{traceback.format_exc()}"
 
 
 def run_campaign(config: ExperimentConfig, out_dir: str, *,

@@ -28,13 +28,14 @@ gap splits between both components: a comfort wall at ``D_c`` then still
 guarantees roughly ``D_c`` of true clearance, whereas a summed gap of ``D_c``
 can shrink to ``D_c / sqrt(2)`` of actual separation.
 
-``payoff_tensors`` evaluates these costs over whole strategy spaces at once:
-it turns per-player rollout bundles into discounted-cost tensors with one
-axis per player, which the game solver consumes directly.  A weight given as
-a column of candidates adds a leading batch axis, which is how the estimator
-prices one game under every candidate aggressiveness in one call.  The scalar
-per-vehicle forms of the same terms live in ``tests/oracles.py`` as the
-independent reference the tensors are checked against.
+``pair_sides`` prices ordered pairs of rollout bundles, so one call serves
+every game of a simulation step; ``payoff_tensors`` turns one game's bundles
+and pair rows into discounted-cost tensors with one axis per player, which
+the game solver consumes directly.  A weight given as a column of candidates
+adds a leading batch axis, which is how the estimator prices one game under
+every candidate aggressiveness in one call.  The scalar per-vehicle forms of
+the same terms live in ``tests/oracles.py`` as the independent reference the
+tensors are checked against.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from .geometry import TWO_PI, Status
 _WINDOW_LO = np.array([-np.inf, 0.0]).reshape(2, 1, 1, 1, 1)
 _WINDOW_HI = np.array([math.pi, math.nextafter(math.pi, 0.0)]).reshape(2, 1, 1, 1, 1)
 
-__all__ = ["CostParams", "horizon_weights", "payoff_tensors"]
+__all__ = ["CostParams", "horizon_weights", "pair_sides", "payoff_tensors"]
 
 
 @dataclass(frozen=True)
@@ -105,42 +106,48 @@ def _tables(params: CostParams, horizon: int):
 
 
 @functools.lru_cache(maxsize=8)
-def _pairs(K: int):
-    """Ordered pairs ``p != q``, ego-major: index arrays of ``p``, ``q`` and the reverse pair."""
+def pair_order(K: int):
+    """Ordered pairs ``p != q`` of K players, ego-major: lists of ``p``, ``q`` and the reverse."""
     ego, other = np.nonzero(~np.eye(K, dtype=bool))
-    return ego, other, other * (K - 1) + ego - (ego > other)
+    return ego.tolist(), other.tolist(), (other * (K - 1) + ego - (ego > other)).tolist()
 
 
-def _pair_sides(theta, rho, stat, params: CostParams, rules, r_in: float):
-    """Front and back ``(candidate gap, side cost)`` for every ordered pair.
+def pair_sides(trajs: Sequence, ego, other, rev, params: CostParams, r_in: float) -> np.ndarray:
+    """Front and back ``(candidate gap, side cost)`` of ordered pairs of rollout bundles.
 
-    Arrays are ``(2, K, K - 1, S, S, h)``, indexed ``[side, p, r, i, j, t]``:
-    front (0) or back (1), ego ``p`` playing ``i``, its ``r``-th other player
-    in ascending id order playing ``j``, stage ``t``.  A gap of ``inf`` marks
-    a vehicle outside ego's window on that side, whose cost is 0.  The back
-    gap and distance from ``p`` to ``q`` are the front ones from ``q`` to
-    ``p``, a transpose: each gap is still reduced from its own raw angle
-    difference (a mod of the negated front gap would round tiny gaps to zero).
+    Pair ``n`` has ego ``trajs[ego[n]]``, other ``trajs[other[n]]`` and its
+    reverse at ``rev[n]``; ``pair_order(K)`` gives one game's.  The result is
+    ``(2, 2, P, S, S, h)``, indexed ``[value, side, n, i, j, t]``: gap (0) or
+    cost (1), front (0) or back (1), ego playing ``i``, other playing ``j``,
+    stage ``t``.  A gap of ``inf`` marks a vehicle outside ego's window on
+    that side, whose cost is 0.  The back gap and distance from ``p`` to
+    ``q`` are the front ones from ``q`` to ``p``, a transpose: each gap is
+    still reduced from its own raw angle difference (a mod of the negated
+    front gap would round tiny gaps to zero).  All operations are elementwise
+    over pairs, so a pair's prices do not depend on the call's other pairs.
     """
-    K, S, h = theta.shape
-    ego, other, rev = _pairs(K)
-    reach, coef, wall = rules
-    fgap = (theta[other][:, None] - theta[ego][:, :, None]) % TWO_PI
-    fd = np.hypot(r_in * fgap, np.abs(rho[ego][:, :, None] - rho[other][:, None]))
-    gap = np.array([fgap, fgap[rev].transpose(0, 2, 1, 3)])
-    d = np.array([fd, fd[rev].transpose(0, 2, 1, 3)])
+    theta, rho = np.array([t.theta for t in trajs]), np.array([t.rho for t in trajs])
+    stat = np.array([t.status for t in trajs])
+    _, reach, coef, wall = _tables(params, theta.shape[-1])
+    gap = (theta[other][:, None] - theta[ego][:, :, None]) % TWO_PI
+    d = np.hypot(r_in * gap, np.abs(rho[ego][:, :, None] - rho[other][:, None]))
+    gap = np.array([gap, gap[rev].transpose(0, 2, 1, 3)])
+    d = np.array([d, d[rev].transpose(0, 2, 1, 3)])
     code = 3 * stat[ego][:, :, None] + stat[other][:, None]
 
-    ok = (d < reach[code]) & (gap > _WINDOW_LO) & (gap <= _WINDOW_HI)
-    val = coef[code] * (params.D - d) ** 2 + np.where(d <= wall[code], params.E_inf, 0.0)
-    shape = (2, K, K - 1, S, S, h)
-    return np.where(ok, gap, np.inf).reshape(shape), np.where(ok, val, 0.0).reshape(shape)
+    # in place where it is free: a whole step's pairs make these arrays a run's memory peak
+    skip = ~((d < reach[code]) & (gap > _WINDOW_LO) & (gap <= _WINDOW_HI))
+    val = coef[code] * (params.D - d) ** 2
+    val += np.where(d <= wall[code], params.E_inf, 0.0)
+    gap[skip], val[skip] = np.inf, 0.0
+    return np.array([gap, val])
 
 
 def _nearest_safe(gap, cost, wts: np.ndarray) -> list:
     """Every player's discounted safety cost over the joint strategy space.
 
-    Takes ``_pair_sides`` output.  The nearest-by-angle neighbour per side is
+    Takes one game's ``pair_sides`` gaps and costs, each split into
+    ``(2, K, K - 1, S, S, h)``.  The nearest-by-angle neighbour per side is
     a running strict minimum over the other players in ascending id order,
     which keeps the first (lowest-id) tie like argmin.  All egos and both
     sides run at once, in a ``(2, K) + (S,) * K + (h,)`` layout with ego's
@@ -163,24 +170,23 @@ def _nearest_safe(gap, cost, wts: np.ndarray) -> list:
             for p in range(K)]
 
 
-def payoff_tensors(trajs: Sequence, w: Sequence, params: CostParams, r_in: float) -> list:
+def payoff_tensors(trajs: Sequence, w: Sequence, sides: np.ndarray, params: CostParams) -> list:
     """Discounted game costs over the joint strategy space.
 
     ``trajs`` holds one rollout bundle per player *in ascending vehicle-id
     order* (neighbour ties resolve to the earlier bundle); each bundle has
     ``theta/rho/v/status`` arrays of shape ``(S, h)``.  All players share one
     strategy alphabet, so ``S`` must be equal across bundles; otherwise
-    ``ValueError`` is raised.  Stages where a vehicle has exited contribute
-    no pair terms.  Returns one ``(S,) * K`` tensor per player,
+    ``ValueError`` is raised.  ``sides`` holds the ``pair_sides`` rows of the
+    game's ``K(K-1)`` ordered pairs in ``pair_order(K)``; a one-player game
+    reads none.  Stages where a vehicle has exited contribute no pair terms.
+    Returns one ``(S,) * K`` tensor per player,
     ``(1 - w[k]) * safe[k] + w[k] * speed[k]``.  A weight may instead be an
     array of shape ``(B,) + (1,) * K``, one weight per game of a batch; that
     player's tensor is then ``(B,) + (S,) * K``.
 
-    Gaps, distances, candidacy and side costs depend on the two members of
-    a pair only, so they are computed once for the ``K(K-1)`` ordered pairs
-    ``p != q``, with the status rules looked up by the pair's status code;
-    only the nearest-neighbour selection runs in joint space.  The speed
-    term is one pass over all players.
+    Only the nearest-neighbour selection runs in joint space; the speed term
+    is one pass over all players.
     """
     K = len(trajs)
     S, h = trajs[0].theta.shape
@@ -188,11 +194,10 @@ def payoff_tensors(trajs: Sequence, w: Sequence, params: CostParams, r_in: float
         raise ValueError("players must share one strategy alphabet and horizon")
     stat = np.array([t.status for t in trajs])
     v = np.array([t.v for t in trajs])
-    wts, *rules = _tables(params, h)
+    wts = _tables(params, h)[0]
     safe = [np.zeros(S)]
     if K > 1:
-        theta, rho = np.array([t.theta for t in trajs]), np.array([t.rho for t in trajs])
-        safe = _nearest_safe(*_pair_sides(theta, rho, stat, params, rules, r_in), wts)
+        safe = _nearest_safe(*sides.reshape((2, 2, K, K - 1, S, S, h)), wts)
 
     dv2 = (params.v_l - v) ** 2
     speed = np.where(v > params.v_l, params.C_o * dv2,

@@ -2,9 +2,10 @@
 
 Synchronous stepping over the same pre-move world, in three passes: every
 negotiating vehicle observes and updates its estimates; one
-``agent.rollout_step`` rolls out the players of every game, reusing last
-step's rollouts; every vehicle commits an acceleration.  Then all vehicles
-move together.  Vehicles negotiate only while entering or inside:
+``agent.prepare_step`` rolls out every game's players, reusing last step's
+rollouts, and prices all their ordered pairs in one call; every vehicle
+commits an acceleration.  Then all vehicles move together.  Vehicles
+negotiate only while entering or inside:
 once a vehicle has left the occupancy disc on its exit leg it stops taking
 part — it is invisible to the others, runs no game, simply speeds back up
 toward the limit, and no longer counts toward collision or proximity
@@ -28,7 +29,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .agent import AgentParams, AgentState, decide, observe, rollout_step, update_estimates
+from .agent import AgentParams, AgentState, decide, observe, prepare_step, update_estimates
 from .cost import CostParams
 from .dynamics import VEHICLE_DIAMETER, Configuration, step
 from .game import GameParams
@@ -195,7 +196,7 @@ def run_simulation(n_vehicles: int, seed: int, geometry: Geometry,
     rows: List[TraceRow] = []
     collision = None
     min_distance, _ = min_pairwise([(v.config.r, v.config.theta) for v in vehicles.values()])
-    memo: dict = {}
+    prep = None
     t = 0
     while t < sim_params.max_steps:
         live = {vid: v for vid, v in vehicles.items() if not v.removed}
@@ -206,8 +207,9 @@ def run_simulation(n_vehicles: int, seed: int, geometry: Geometry,
                 obs = views[vid] = observe(vid, configs, geometry, cost_params)
                 update_estimates(agents[vid], obs, geometry, cost_params, agent_params,
                                  sim_params.delta)
-        memo = rollout_step([(agents[vid], obs, live[vid].path) for vid, obs in views.items()],
-                            memo, game_params, agent_params, sim_params.delta, diameter)
+        prep = prepare_step([(agents[vid], obs, live[vid].path) for vid, obs in views.items()],
+                            prep, cost_params, game_params, agent_params, sim_params.delta,
+                            geometry.r_in, diameter)
         now: List[TraceRow] = []
         for vid in sorted(live):
             cfg = configs[vid]
@@ -219,7 +221,7 @@ def run_simulation(n_vehicles: int, seed: int, geometry: Geometry,
             else:
                 d = decide(agents[vid], views[vid], live[vid].path, geometry,
                            cost_params, game_params, agent_params,
-                           sim_params.delta, memo, diameter)
+                           sim_params.delta, prep, diameter)
                 accel, est, override = d.accel, d.weights, d.override
                 pred = {j: float(game_params.strategy_accels[d.profile[j]])
                         for j in d.profile if j != vid}

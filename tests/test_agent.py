@@ -1,6 +1,7 @@
 """Observation windows, path/aggressiveness estimation, and decisions."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from roundabout_sim.agent import (
     observe,
     update_estimates,
 )
-from roundabout_sim.cost import CostParams
+from roundabout_sim.cost import CostParams, pair_order, pair_sides
 from roundabout_sim.dynamics import Configuration, rollout
 from roundabout_sim.game import GameParams
 from roundabout_sim.geometry import (
@@ -190,7 +191,7 @@ class TestReestimateOracle:
             seen = obs[j]
             for v_now in (0.0, seen.v - 2.5, seen.v, seen.v + 0.5, seen.v + 7.5):
                 now = on_circle(seen.theta, v=max(v_now, 0.0))
-                got = agent._reestimate(state, j, now, P, ap, DELTA, geom.r_in)
+                got = agent._reestimate(state, j, now, P, ap, DELTA)
                 assert got == reference_reestimate(state, j, now, P, ap, DELTA, geom.r_in)
                 picked.add(got)
         assert len(picked) > 1
@@ -201,10 +202,10 @@ class TestReestimateOracle:
         batched = agent._reestimate
         calls = []
 
-        def checked(state, j, obs_j, cost_params, agent_params, delta, r_in):
-            got = batched(state, j, obs_j, cost_params, agent_params, delta, r_in)
+        def checked(state, j, obs_j, cost_params, agent_params, delta):
+            got = batched(state, j, obs_j, cost_params, agent_params, delta)
             assert got == reference_reestimate(state, j, obs_j, cost_params,
-                                               agent_params, delta, r_in)
+                                               agent_params, delta, geom.r_in)
             calls.append(got)
             return got
 
@@ -212,18 +213,42 @@ class TestReestimateOracle:
         run_simulation(6, 11, geom, P, GP, ap, SimParams())
         assert len(calls) > 10
 
+    @pytest.mark.parametrize("seed", [42, 43, 44])
+    def test_frozen_rows_equal_the_game_priced_from_scratch(self, geom, monkeypatch, seed):
+        # every re-estimation of an n=8 run: the weight fitted on the frozen pair
+        # rows equals the fit on the two-player game priced afresh, both by the
+        # package's kernel and by the reference
+        batched = agent._reestimate
+        calls = []
+
+        def checked(state, j, obs_j, cost_params, agent_params, delta):
+            got = batched(state, j, obs_j, cost_params, agent_params, delta)
+            ids = sorted((state.vid, j))
+            fresh = replace(state, rolls={v: state.rolls[v] for v in ids},
+                            sides=pair_sides([state.rolls[v] for v in ids], *pair_order(2),
+                                             cost_params, geom.r_in))
+            assert got == batched(fresh, j, obs_j, cost_params, agent_params, delta)
+            assert got == reference_reestimate(state, j, obs_j, cost_params,
+                                               agent_params, delta, geom.r_in)
+            calls.append(len(state.rolls))
+            return got
+
+        monkeypatch.setattr(agent, "_reestimate", checked)
+        run_simulation(8, seed, geom)
+        assert len(calls) > 50 and max(calls) >= 3
+
 
 class TestFrozenGame:
-    """``state.rolls`` is the game just played; the step memo only saves work."""
+    """``state.rolls`` is the game just played; step preparation only saves work."""
 
     def test_frozen_rollouts_equal_fresh_ones(self, geom, monkeypatch):
         real = sim.decide
         players = []
 
         def checked(state, obs, ego_path, geometry, cost_params, game_params,
-                    agent_params, delta, memo, diameter):
+                    agent_params, delta, prep, diameter):
             d = real(state, obs, ego_path, geometry, cost_params, game_params,
-                     agent_params, delta, memo, diameter)
+                     agent_params, delta, prep, diameter)
             assert set(state.rolls) == set(d.profile)
             for vid, roll in state.rolls.items():
                 c = obs[vid]
@@ -238,6 +263,15 @@ class TestFrozenGame:
                     got, want = getattr(roll, name), getattr(fresh, name)
                     assert got.dtype == want.dtype and got.shape == want.shape
                     assert got.tobytes() == want.tobytes(), (vid, name)
+            # the game's rows of the step's one pair-kernel call price it as if alone
+            ids = sorted(state.rolls)
+            if len(ids) == 1:
+                assert state.sides is None
+            else:
+                alone = pair_sides([state.rolls[v] for v in ids], *pair_order(len(ids)),
+                                   cost_params, geometry.r_in)
+                assert state.sides.shape == alone.shape
+                assert state.sides.tobytes() == alone.tobytes()
             players.append(len(state.rolls))
             return d
 
@@ -246,7 +280,7 @@ class TestFrozenGame:
         assert len(players) > 100 and max(players) >= 3
 
     def test_memo_is_output_neutral_and_used(self, geom, monkeypatch):
-        real_rollout, real_decide, real_step = agent.rollout, sim.decide, sim.rollout_step
+        real_rollout, real_decide, real_step = agent.rollout, sim.decide, sim.prepare_step
         computed = []
 
         def counting(requests, *args):
@@ -259,12 +293,12 @@ class TestFrozenGame:
 
         monkeypatch.setattr(agent, "rollout", counting)
         shared_rows, shared_calls = runs()
-        # no reuse across steps: every step starts from an empty memo
-        monkeypatch.setattr(sim, "rollout_step",
-                            lambda views, prev, *args: real_step(views, {}, *args))
+        # no reuse across steps: every step rolls out all of its keys
+        monkeypatch.setattr(sim, "prepare_step",
+                            lambda views, prev, *args: real_step(views, None, *args))
         stepwise_rows, stepwise_calls = runs()
-        # no memo at all: every decision rolls out its own game
-        monkeypatch.setattr(sim, "rollout_step", lambda *args: {})
+        # no step preparation at all: every decision rolls out and prices its own game
+        monkeypatch.setattr(sim, "prepare_step", lambda *args: None)
         monkeypatch.setattr(sim, "decide",
                             lambda *args: real_decide(*args[:8], None, *args[9:]))
         fresh_rows, fresh_calls = runs()
@@ -276,7 +310,7 @@ class TestFrozenGame:
 
 class TestStagedStep:
     def test_one_rollout_call_and_one_pose_batch_per_path_per_step(self, geom, monkeypatch):
-        real_rollout, real_step = agent.rollout, sim.rollout_step
+        real_rollout, real_step = agent.rollout, sim.prepare_step
         real_pose_batch = NavigationPath.pose_batch
         posed = []      # the paths posed by each rollout call
         per_step = []   # rollout calls made by each step's pass 2
@@ -291,17 +325,72 @@ class TestStagedStep:
 
         def staged(*args):
             before = len(posed)
-            memo = real_step(*args)
+            prep = real_step(*args)
             per_step.append(len(posed) - before)
-            return memo
+            return prep
 
         monkeypatch.setattr(agent, "rollout", counting)
         monkeypatch.setattr(NavigationPath, "pose_batch", pose_batch)
-        monkeypatch.setattr(sim, "rollout_step", staged)
+        monkeypatch.setattr(sim, "prepare_step", staged)
         steps = sum(run_simulation(8, seed, geom).n_steps for seed in (42, 43, 44))
         assert len(per_step) == steps and max(per_step) == 1
         assert sum(per_step) == len(posed)  # decisions roll nothing out themselves
         assert all(paths and len(paths) == len(set(paths)) for paths in posed)
+
+    def test_one_pair_kernel_call_per_step_and_one_pricing_per_game(self, geom, monkeypatch):
+        # the call shape the traced benchmark pins: pairs are priced only while a
+        # step is prepared, at most once per step; payoff_tensors runs once per
+        # decision with that game's K bundles and once per re-estimation with 2
+        real_sides, real_payoff = agent.pair_sides, agent.payoff_tensors
+        real_prep, real_update, real_decide = sim.prepare_step, sim.update_estimates, sim.decide
+        real_reestimate = agent._reestimate
+        stack = ["run"]   # the pass we are in
+        kernel = []       # the pass of each pair-kernel call
+        per_step = []     # pair-kernel calls made by each step's preparation
+        priced = []       # (pass, K) of each payoff_tensors call
+        shapes = []       # (K of each payoff_tensors call made, game's K) per decision
+                          # or re-estimation
+
+        def within(name, real, record=None):
+            def wrapped(*args):
+                stack.append(name)
+                before = len(priced)
+                try:
+                    out = real(*args)
+                finally:
+                    stack.pop()
+                if record:
+                    shapes.append(([k for _, k in priced[before:]], record(out)))
+                return out
+            return wrapped
+
+        monkeypatch.setattr(agent, "pair_sides",
+                            lambda *args: kernel.append(stack[-1]) or real_sides(*args))
+        monkeypatch.setattr(agent, "payoff_tensors",
+                            lambda trajs, *args: priced.append((stack[-1], len(trajs)))
+                            or real_payoff(trajs, *args))
+        def staged(*args):
+            before = len(kernel)
+            prep = within("prepare", real_prep)(*args)
+            per_step.append(len(kernel) - before)
+            return prep
+
+        monkeypatch.setattr(sim, "prepare_step", staged)
+        monkeypatch.setattr(sim, "update_estimates", within("update", real_update))
+        monkeypatch.setattr(sim, "decide",
+                            within("decide", real_decide, lambda d: len(d.profile)))
+        monkeypatch.setattr(agent, "_reestimate",
+                            within("reestimate", real_reestimate, lambda w: 2))
+        steps = sum(run_simulation(8, seed, geom).n_steps for seed in (42, 43, 44))
+        assert len(per_step) == steps and max(per_step) == 1
+        assert set(kernel) == {"prepare"}  # none under update_estimates or decide
+        assert {p for p, _ in priced} == {"decide", "reestimate"}
+        decisions = sum(p == "decide" for p, _ in priced)
+        reestimates = sum(p == "reestimate" for p, _ in priced)
+        assert decisions > 1000 and reestimates > 100
+        assert len(shapes) == decisions + reestimates
+        assert all(ks == [k] for ks, k in shapes)
+        assert {k for ks, _ in shapes for k in ks} == {1, 2, 3, 4}
 
 
 class TestDecide:

@@ -7,6 +7,7 @@ import os
 
 import pytest
 
+from roundabout_sim import cli
 from roundabout_sim.cli import (
     SUMMARY_COLUMNS,
     TRACE_COLUMNS,
@@ -132,6 +133,17 @@ class TestReports:
         assert report.rows[0].runs == 2
         err = capsys.readouterr().err
         assert all(fname in err for fname in bad) and "run_99999995.csv" in err
+
+    def test_failed_run_reports_its_seed_and_traceback(self, tmp_path, monkeypatch):
+        def broken_model(n, seed, *args):
+            raise RuntimeError("model broke")
+
+        monkeypatch.setattr(cli, "run_simulation", broken_model)
+        report, errors = run_campaign(parse_config("campaign = 4 x 1\n"), str(tmp_path),
+                                      jobs=1, flag_seed=7)
+        assert report.rows == () and len(errors) == 1
+        assert errors[0].startswith("n=4 seed=7: model broke\n")
+        assert "Traceback" in errors[0] and "in broken_model" in errors[0]
 
     def test_zero_run_rows_drop_out(self, tmp_path):
         report, errors = run_campaign(parse_config("campaign = 4 x 0\n"),

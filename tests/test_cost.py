@@ -19,7 +19,7 @@ from oracles import (
     reference_payoff_tensors,
     step_cost,
 )
-from roundabout_sim.cost import CostParams, horizon_weights, payoff_tensors
+from roundabout_sim.cost import CostParams, horizon_weights, pair_order, pair_sides, payoff_tensors
 from roundabout_sim.dynamics import Configuration, Rollout, rollout, step
 from roundabout_sim.game import DEFAULT_ACCELS
 from roundabout_sim.geometry import Maneuver, PathKind, RoundaboutSpec, Status, build_roundabout
@@ -30,6 +30,12 @@ P = CostParams()
 @pytest.fixture(scope="module")
 def geom():
     return build_roundabout(RoundaboutSpec())
+
+
+def priced(trajs, w, params, r_in):
+    """``payoff_tensors`` of one game, its pairs priced by the package's pair kernel."""
+    return payoff_tensors(trajs, w, pair_sides(trajs, *pair_order(len(trajs)), params, r_in),
+                          params)
 
 
 def cfg(r=20.0, theta=0.0, v=8.0, status=Status.INSIDE, arclen=None):
@@ -221,10 +227,10 @@ class TestPayoffTensors:
             starts.append((s0, v0, st0))
             trajs.append(rollout([(path, s0, v0, st0)], DEFAULT_ACCELS, horizon, delta)[0])
             w.append(data.draw(st.sampled_from([0.1, 0.5, 0.9])))
-        costs = payoff_tensors(trajs, w, params, geom.r_in)
+        costs = priced(trajs, w, params, geom.r_in)
         # w = 0 and w = 1 read the safety and speed terms out exactly
-        safe = payoff_tensors(trajs, [0.0] * K, params, geom.r_in)
-        speed = payoff_tensors(trajs, [1.0] * K, params, geom.r_in)
+        safe = priced(trajs, [0.0] * K, params, geom.r_in)
+        speed = priced(trajs, [1.0] * K, params, geom.r_in)
         profile = tuple(data.draw(st.integers(0, len(strategies) - 1)) for _ in range(K))
         ref = scalar_profile_cost(paths, starts,
                                   [strategies[i] for i in profile],
@@ -287,7 +293,7 @@ class TestPayoffTensorsBitIdentity:
         # the reference returns (costs, safe, speed); w = 0 and w = 1 read the
         # safety and speed terms out exactly, since every safety cost is finite
         K = len(trajs)
-        got = [payoff_tensors(trajs, wk, params, r_in) for wk in (w, [0.0] * K, [1.0] * K)]
+        got = [priced(trajs, wk, params, r_in) for wk in (w, [0.0] * K, [1.0] * K)]
         want = reference_payoff_tensors(trajs, w, params, r_in)
         for g, r in zip(got, want):
             assert len(g) == len(r) == len(trajs)
@@ -354,10 +360,9 @@ class TestPayoffTensorsBitIdentity:
             trajs = [pool[i] for i in rng.integers(0, len(pool), size=K)]
             cols = [rng.permutation(grid) if rng.random() < 0.7
                     else np.full_like(grid, rng.choice(grid)) for _ in range(K)]
-            got = payoff_tensors(trajs, [c.reshape((9,) + (1,) * K) for c in cols],
-                                 params, geom.r_in)
+            got = priced(trajs, [c.reshape((9,) + (1,) * K) for c in cols], params, geom.r_in)
             for b in range(9):
-                want = payoff_tensors(trajs, [float(c[b]) for c in cols], params, geom.r_in)
+                want = priced(trajs, [float(c[b]) for c in cols], params, geom.r_in)
                 for g, one in zip(got, want):
                     assert g.shape == (9,) + (5,) * K
                     assert np.array_equal(g[b], one)
@@ -367,4 +372,40 @@ class TestPayoffTensorsBitIdentity:
         a = rollout([(circle, 0.0, 5.0, Status.INSIDE)], DEFAULT_ACCELS, 4, 0.25)[0]
         b = rollout([(circle, 9.0, 5.0, Status.INSIDE)], (-10.0, 0.0, 10.0), 4, 0.25)[0]
         with pytest.raises(ValueError):
-            payoff_tensors([a, b], [0.5, 0.5], CostParams(), geom.r_in)
+            payoff_tensors([a, b], [0.5, 0.5], None, CostParams())
+
+
+class TestStepPairKernel:
+    """One ``pair_sides`` call over a step's deduplicated pairs prices each game as if alone."""
+
+    @pytest.mark.parametrize("horizon", [4, 9])
+    def test_shuffled_step_batches_bit_identical_to_per_game(self, geom, horizon):
+        # a step's games of K = 2..4 draw on a set of distinct rollouts, so keys
+        # repeat across games, and each game holds both orders of its pairs;
+        # the pairs and the stacked rollouts are shuffled
+        pool = rollout_pool(geom, horizon)
+        rng = np.random.default_rng(30 + horizon)
+        params = CostParams()
+        games_checked = 0
+        for _ in range(40):
+            keys = rng.choice(len(pool), size=10, replace=False).tolist()
+            games = [rng.choice(keys, size=K, replace=False).tolist()
+                     for K in rng.integers(2, 5, size=rng.integers(1, 9))]
+            pairs = list({(g[p], g[q]): None for g in games
+                          for p, q in zip(*pair_order(len(g))[:2])})
+            pairs = [pairs[k] for k in rng.permutation(len(pairs))]
+            row = {pair: n for n, pair in enumerate(pairs)}
+            slot = {key: k for k, key in enumerate(rng.permutation(keys).tolist())}
+            sides = pair_sides([pool[key] for key in slot], [slot[p] for p, _ in pairs],
+                               [slot[q] for _, q in pairs], [row[q, p] for p, q in pairs],
+                               params, geom.r_in)
+            assert sides.shape == (2, 2, len(pairs), 5, 5, horizon)
+            for g in games:
+                ego, other, _ = pair_order(len(g))
+                got = sides[:, :, [row[g[p], g[q]] for p, q in zip(ego, other)]]
+                alone = pair_sides([pool[key] for key in g], *pair_order(len(g)), params,
+                                   geom.r_in)
+                assert got.shape == alone.shape
+                assert got.tobytes() == alone.tobytes()
+                games_checked += 1
+        assert games_checked > 100
