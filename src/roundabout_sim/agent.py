@@ -35,20 +35,22 @@ stay reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, Mapping, NamedTuple, Optional
 
 import numpy as np
 
-from .cost import CostParams, pair_order, pair_sides, payoff_tensors
+from .cost import CostParams, pair_order, pair_sides, payoff_tensors, speed_sums
 from .dynamics import VEHICLE_DIAMETER, Configuration, Rollout, rollout, step
 from .game import GameParams, order_players, tensor_equilibrium
 from .geometry import TWO_PI, Geometry, NavigationPath, Status
 
 DEFAULT_W_GRID = tuple(round(0.1 * k, 1) for k in range(1, 10))
-#: ``prepare_step``'s output: ``rolls`` maps a key to ``(arclen, Rollout)``, ``games`` a decider
-#: to its players' keys by id and its pairs' rows (``pair_order``) on axis 2 of ``sides``
-StepPrep = NamedTuple("StepPrep", [("rolls", dict), ("games", dict), ("sides", np.ndarray)])
+#: ``prepare_step``'s output: ``rolls`` maps a key to ``(arclen, Rollout)``, and ``games`` a
+#: decider to its players' keys by id, their rows of ``speed`` (one per key of ``rolls``, in
+#: order) and its pairs' rows (``pair_order``) on axis 2 of ``sides``
+StepPrep = NamedTuple("StepPrep", [("rolls", dict), ("games", dict), ("speed", np.ndarray),
+                                   ("sides", np.ndarray)])
 
 __all__ = [
     "AgentParams",
@@ -99,10 +101,11 @@ class AgentParams:
 class AgentState:
     """Everything one vehicle remembers between steps.
 
-    ``rolls`` (every player's rollout, ego included), ``order`` and ``sides``
-    (its ordered pairs' ``pair_sides`` rows in ``pair_order``; ``None`` for one
-    player) freeze the last game this vehicle played; the estimator replays
-    it when a neighbour strays from its prediction in ``pred_xy``.
+    ``rolls`` (every player's rollout, ego included), ``order``, ``speed``
+    (the players' ``speed_sums`` rows by id) and ``sides`` (its ordered pairs'
+    ``pair_sides`` rows in ``pair_order``; ``None`` for one player) freeze the
+    last game this vehicle played; the estimator replays it when a neighbour
+    strays from its prediction in ``pred_xy``.
     """
 
     vid: int
@@ -114,6 +117,7 @@ class AgentState:
     pred_xy: Dict[int, tuple] = field(default_factory=dict)
     rolls: Dict[int, Rollout] = field(default_factory=dict)
     order: tuple = ()
+    speed: Optional[np.ndarray] = None
     sides: Optional[np.ndarray] = None
 
 
@@ -214,35 +218,36 @@ def _game_keys(state: AgentState, obs: Mapping[int, Configuration], ego_path: Na
 def prepare_step(views, prev: Optional[StepPrep], cost_params: CostParams,
                  game_params: GameParams, agent_params: AgentParams, delta: float,
                  r_in: float, diameter: float = VEHICLE_DIAMETER) -> StepPrep:
-    """Every rollout and pair price the games of ``views`` need.
+    """Every rollout, speed row and pair price the games of ``views`` need.
 
     ``views`` holds ``(state, obs, ego_path)`` per deciding vehicle, after
     ``update_estimates``.  A key found in ``prev.rolls`` (last step's; a stopped
     vehicle repeats its key) reuses its rollout, the other distinct keys are
-    rolled out in one ``rollout`` call.  Every game's ordered pairs, deduplicated
-    by their two keys, are then priced in one ``pair_sides`` call."""
-    rolls, todo, rows, games = {}, [], {}, {}
+    rolled out in one ``rollout`` call.  Every rollout's speed row is priced in
+    one ``speed_sums`` call, and every game's ordered pairs, deduplicated by
+    the slots of their two keys in ``rolls``, in one ``pair_sides`` call."""
+    rolls, slot, todo, rows, games = {}, {}, [], {}, {}
     for state, obs, ego_path in views:
         keys = _game_keys(state, obs, ego_path, agent_params.player_cap)
         for key in keys.values():
-            if key not in rolls:
+            if key not in slot:
+                slot[key] = len(slot)
                 rolls[key] = prev.rolls.get(key) if prev is not None else None
                 if rolls[key] is None:
                     todo.append(key)
-        ks = list(keys.values())
-        games[state.vid] = keys, [rows.setdefault((ks[p], ks[q]), len(rows))
-                                  for p, q in zip(*pair_order(len(ks))[:2])]
+        ks = [slot[key] for key in keys.values()]
+        games[state.vid] = keys, ks, [rows.setdefault((ks[p], ks[q]), len(rows))
+                                      for p, q in zip(*pair_order(len(ks))[:2])]
     if todo:
         requests = [(path, path.project(*c.xy())[0] if c.arclen is None else c.arclen, c.v,
                      c.status) for path, c in todo]
         done = rollout(requests, game_params.strategy_accels, game_params.horizon, delta,
                        diameter)
         rolls.update((key, (req[1], roll)) for key, req, roll in zip(todo, requests, done))
-    slot = {key: k for k, key in enumerate(rolls)}
-    sides = pair_sides([roll for _, roll in rolls.values()], [slot[p] for p, _ in rows],
-                       [slot[q] for _, q in rows], [rows[q, p] for p, q in rows],
-                       cost_params, r_in) if rows else None
-    return StepPrep(rolls, games, sides)
+    bundles = [roll for _, roll in rolls.values()]
+    sides = pair_sides(bundles, [p for p, _ in rows], [q for _, q in rows],
+                       [rows[q, p] for p, q in rows], cost_params, r_in) if rows else None
+    return StepPrep(rolls, games, speed_sums(bundles, cost_params), sides)
 
 
 def decide(state: AgentState, obs: Mapping[int, Configuration], ego_path: NavigationPath,
@@ -252,8 +257,8 @@ def decide(state: AgentState, obs: Mapping[int, Configuration], ego_path: Naviga
     """One decision round for ``state.vid`` given its observation ``obs``.
 
     ``update_estimates`` must have run on the same ``obs``: every neighbour's
-    weight and hypothesis path are read from ``state``.  Rollouts and pair
-    rows (one gather) come from ``prep``, ``prepare_step``'s output for views
+    weight and hypothesis path are read from ``state``.  Rollouts, speed and pair
+    rows (one gather each) come from ``prep``, ``prepare_step``'s output for views
     that hold this one; without it, ``prepare_step`` runs for this one alone.
     """
     ego_id = state.vid
@@ -261,14 +266,15 @@ def decide(state: AgentState, obs: Mapping[int, Configuration], ego_path: Naviga
     if prep is None:
         prep = prepare_step([(state, obs, ego_path)], None, cost_params, game_params,
                             agent_params, delta, geometry.r_in, diameter)
-    keys, rows = prep.games[ego_id]
+    keys, slots, rows = prep.games[ego_id]
     weights = {vid: state.w_agg if vid == ego_id else state.w_hat[vid] for vid in keys}
     accels = game_params.strategy_accels
     rolls = {vid: prep.rolls[key][1] for vid, key in keys.items()}
+    speed = prep.speed[slots]
     sides = prep.sides[:, :, rows] if rows else None
 
     order = tuple(order_players(weights))
-    profile = _play(rolls, weights, order, sides, cost_params)
+    profile = _play(speed, weights, order, sides, cost_params)
     accel = float(accels[profile[ego_id]])
 
     override = False
@@ -280,19 +286,18 @@ def decide(state: AgentState, obs: Mapping[int, Configuration], ego_path: Naviga
             accel = agent_params.deadlock_accel
             override = True
 
-    state.rolls, state.order, state.sides = rolls, order, sides
-    state.pred_xy = {vid: step(replace(obs[vid], arclen=prep.rolls[key][0]),
-                               float(accels[profile[vid]]), delta, key[0], diameter).xy()
-                     for vid, key in keys.items() if vid != ego_id}
+    state.rolls, state.order, state.speed, state.sides = rolls, order, speed, sides
+    state.pred_xy = {vid: step(Configuration(c.r, c.theta, c.v, c.status, prep.rolls[path, c][0]),
+                               float(accels[profile[vid]]), delta, path, diameter).xy()
+                     for vid, (path, c) in keys.items() if vid != ego_id}
     return DecisionResult(accel=accel, override=override, profile=profile, weights=weights)
 
 
-def _play(rolls, weights, order, sides, cost_params):
-    """Solve the game of ``weights``' players, moving in ``order``, over ``rolls`` and pair rows
-    ``sides``: a strategy index per player, or a list (one per game) for batched weights."""
+def _play(speed, weights, order, sides, cost_params):
+    """Solve the game of ``weights``' players, moving in ``order``, over their speed rows (by id)
+    and pair rows: a strategy index per player, or a list (one per game) for batched weights."""
     ids = sorted(weights)
-    costs = payoff_tensors([rolls[v] for v in ids], [weights[v] for v in ids], sides,
-                           cost_params)
+    costs = payoff_tensors(speed, [weights[v] for v in ids], sides, cost_params)
     axis_of = {vid: k for k, vid in enumerate(ids)}
     prof = tensor_equilibrium(costs, [axis_of[v] for v in order if v in axis_of])
     return dict(zip(ids, np.transpose(prof).tolist()))
@@ -304,18 +309,21 @@ def _reestimate(state: AgentState, j: int, obs_j: Configuration,
 
     The games for all weights are priced by one ``payoff_tensors`` call with
     a column of candidate weights and solved as one batch, on the rollouts,
-    the decision order and the pair rows frozen in ``state`` at decision time:
-    no pair is priced again, the rows of ``(ego, j)`` and ``(j, ego)`` are
-    selected in their ``pair_order``.
+    the decision order, the speed rows and the pair rows frozen in ``state``
+    at decision time: nothing is priced again, the speed rows of ego and
+    ``j`` are selected by id and the rows of ``(ego, j)`` and ``(j, ego)`` in
+    their ``pair_order``.
     """
     ids = sorted(state.rolls)
+    pair = {state.vid, j}
     ego, other, _ = pair_order(len(ids))
     sides = state.sides[:, :, [n for n, (p, q) in enumerate(zip(ego, other))
-                               if {ids[p], ids[q]} == {state.vid, j}]]
+                               if {ids[p], ids[q]} == pair]]
+    speed = state.speed[[k for k, vid in enumerate(ids) if vid in pair]]
     grid = np.array(agent_params.w_grid, dtype=float)[:, None, None]
     w_ego = (np.full_like(grid, state.w_agg)
              if agent_params.estimator_ego_uses_true_weight else grid)
-    profile = _play(state.rolls, {state.vid: w_ego, j: grid}, state.order, sides, cost_params)
+    profile = _play(speed, {state.vid: w_ego, j: grid}, state.order, sides, cost_params)
     v_prev = state.rolls[j].v[0, 0]
     a_obs = (obs_j.v - v_prev) / delta
     v1 = state.rolls[j].v[profile[j], 1]

@@ -28,12 +28,13 @@ gap splits between both components: a comfort wall at ``D_c`` then still
 guarantees roughly ``D_c`` of true clearance, whereas a summed gap of ``D_c``
 can shrink to ``D_c / sqrt(2)`` of actual separation.
 
-``pair_sides`` prices ordered pairs of rollout bundles, so one call serves
-every game of a simulation step; ``payoff_tensors`` turns one game's bundles
-and pair rows into discounted-cost tensors with one axis per player, which
-the game solver consumes directly.  A weight given as a column of candidates
-adds a leading batch axis, which is how the estimator prices one game under
-every candidate aggressiveness in one call.  The scalar per-vehicle forms of
+``pair_sides`` prices ordered pairs of rollout bundles and ``speed_sums``
+each bundle's speed term, so one call of each serves every game of a step;
+``payoff_tensors`` turns one game's speed and pair rows into discounted-cost
+tensors with one axis per player, which the game solver consumes directly.
+A weight given as a column of candidates adds a leading batch axis, which is
+how the estimator prices one game under every candidate aggressiveness in
+one call.  The scalar per-vehicle forms of
 the same terms live in ``tests/oracles.py`` as the independent reference the
 tensors are checked against.
 """
@@ -53,7 +54,7 @@ from .geometry import TWO_PI, Status
 _WINDOW_LO = np.array([-np.inf, 0.0]).reshape(2, 1, 1, 1, 1)
 _WINDOW_HI = np.array([math.pi, math.nextafter(math.pi, 0.0)]).reshape(2, 1, 1, 1, 1)
 
-__all__ = ["CostParams", "horizon_weights", "pair_sides", "payoff_tensors"]
+__all__ = ["CostParams", "horizon_weights", "pair_sides", "speed_sums", "payoff_tensors"]
 
 
 @dataclass(frozen=True)
@@ -143,70 +144,76 @@ def pair_sides(trajs: Sequence, ego, other, rev, params: CostParams, r_in: float
     return np.array([gap, val])
 
 
-def _nearest_safe(gap, cost, wts: np.ndarray) -> list:
-    """Every player's discounted safety cost over the joint strategy space.
-
-    Takes one game's ``pair_sides`` gaps and costs, each split into
-    ``(2, K, K - 1, S, S, h)``.  The nearest-by-angle neighbour per side is
-    a running strict minimum over the other players in ascending id order,
-    which keeps the first (lowest-id) tie like argmin.  All egos and both
-    sides run at once, in a ``(2, K) + (S,) * K + (h,)`` layout with ego's
-    strategy axis first and the others' in ascending id order, so each pair
-    block is a plain reshape; ego's axis moves into place after the
-    discounted sum.
-    """
-    _, K, _, S, _, h = gap.shape
-    for r in range(K - 1):
-        view = [2, K, S] + [1] * (K - 1) + [h]
-        view[3 + r] = S
-        g, c = gap[:, :, r].reshape(view), cost[:, :, r].reshape(view)
-        if r == 0:
-            best_gap, best_cost = g, c
-        else:
-            m = g < best_gap
-            best_gap, best_cost = np.where(m, g, best_gap), np.where(m, c, best_cost)
-    sums = (np.maximum(best_cost[0], best_cost[1]) * wts).sum(axis=-1)
-    return [sums[p].transpose(list(range(1, p + 1)) + [0] + list(range(p + 1, K)))
-            for p in range(K)]
-
-
-def payoff_tensors(trajs: Sequence, w: Sequence, sides: np.ndarray, params: CostParams) -> list:
-    """Discounted game costs over the joint strategy space.
-
-    ``trajs`` holds one rollout bundle per player *in ascending vehicle-id
-    order* (neighbour ties resolve to the earlier bundle); each bundle has
-    ``theta/rho/v/status`` arrays of shape ``(S, h)``.  All players share one
-    strategy alphabet, so ``S`` must be equal across bundles; otherwise
-    ``ValueError`` is raised.  ``sides`` holds the ``pair_sides`` rows of the
-    game's ``K(K-1)`` ordered pairs in ``pair_order(K)``; a one-player game
-    reads none.  Stages where a vehicle has exited contribute no pair terms.
-    Returns one ``(S,) * K`` tensor per player,
-    ``(1 - w[k]) * safe[k] + w[k] * speed[k]``.  A weight may instead be an
-    array of shape ``(B,) + (1,) * K``, one weight per game of a batch; that
-    player's tensor is then ``(B,) + (S,) * K``.
-
-    Only the nearest-neighbour selection runs in joint space; the speed term
-    is one pass over all players.
-    """
-    K = len(trajs)
-    S, h = trajs[0].theta.shape
-    if any(t.theta.shape != (S, h) for t in trajs):
-        raise ValueError("players must share one strategy alphabet and horizon")
-    stat = np.array([t.status for t in trajs])
-    v = np.array([t.v for t in trajs])
-    wts = _tables(params, h)[0]
-    safe = [np.zeros(S)]
-    if K > 1:
-        safe = _nearest_safe(*sides.reshape((2, 2, K, K - 1, S, S, h)), wts)
-
+def speed_sums(trajs: Sequence, params: CostParams) -> np.ndarray:
+    """Discounted speed cost of every strategy of every rollout bundle: ``(R, S)``.  A row
+    depends on its bundle alone, so one call prices a step's rollouts for all its games."""
+    v, stat = np.array([t.v for t in trajs]), np.array([t.status for t in trajs])
     dv2 = (params.v_l - v) ** 2
     speed = np.where(v > params.v_l, params.C_o * dv2,
                      np.where(stat == int(Status.ENTER), params.C_en * dv2,
                               params.C_in * dv2))
-    speed_sums = (speed * wts).sum(axis=-1)
+    return (speed * _tables(params, v.shape[-1])[0]).sum(axis=-1)
+
+
+@functools.lru_cache(maxsize=8)
+def _joint_index(K: int, S: int) -> np.ndarray:
+    """Per other player, the flat entry ``(r, i, j)`` of ego's ``(K - 1, S, S)`` pair blocks that
+    each joint profile reads: ``(K - 1, S**K)``.  A profile's digits are ego's strategy ``i``,
+    then the others' in ascending id order; the other at rank ``r`` plays digit ``j``."""
+    digits = np.indices((S,) * K).reshape(K, -1)
+    return np.array([(r * S + digits[0]) * S + digits[r + 1] for r in range(K - 1)])
+
+
+def _nearest_safe(sides, K: int, wts: np.ndarray) -> list:
+    """Every player's discounted safety cost over the joint strategy space.
+
+    Takes one game's ``pair_sides`` rows, ``(2, 2, K(K-1), S, S, h)``.  Each
+    other player's ``(ego, other)`` blocks are gathered into a contiguous
+    ``(2, 2, K, S**K, h)`` joint array, all egos and both sides at once.  The
+    nearest-by-angle neighbour per side is a running strict minimum over the
+    other players in ascending id order, which keeps the first (lowest-id)
+    tie like argmin.  The horizon stays the contiguous last axis of the
+    discounted sum, which fixes its addition order; ego's axis moves into
+    place after it.
+    """
+    S, h = sides.shape[-2:]
+    blocks, idx = sides.reshape(2, 2, K, -1, h), _joint_index(K, S)
+    best_gap, best_cost = np.take(blocks, idx[0], axis=3)
+    for i in idx[1:]:
+        gap, cost = np.take(blocks, i, axis=3)
+        m = gap < best_gap
+        np.copyto(best_gap, gap, where=m)
+        np.copyto(best_cost, cost, where=m)
+    sums = (np.maximum(best_cost[0], best_cost[1]) * wts).sum(axis=-1).reshape((K,) + (S,) * K)
+    return [sums[p].transpose(list(range(1, p + 1)) + [0] + list(range(p + 1, K)))
+            for p in range(K)]
+
+
+def payoff_tensors(speed: np.ndarray, w: Sequence, sides: np.ndarray, params: CostParams) -> list:
+    """Discounted game costs over the joint strategy space.
+
+    ``speed`` holds the ``speed_sums`` rows of the game's players, ``(K, S)``,
+    *in ascending vehicle-id order* (neighbour ties resolve to the earlier
+    player); all players share one strategy alphabet of size ``S``.
+    ``sides`` holds the ``pair_sides`` rows of the game's ``K(K-1)`` ordered
+    pairs in ``pair_order(K)``; a one-player game reads none.  Rows of
+    another alphabet size raise ``ValueError``.  Stages where a vehicle has
+    exited contribute no pair terms.  Returns one ``(S,) * K`` tensor per
+    player, ``(1 - w[k]) * safe[k] + w[k] * speed[k]``.  A weight may instead
+    be an array of shape ``(B,) + (1,) * K``, one weight per game of a batch;
+    that player's tensor is then ``(B,) + (S,) * K``.
+
+    Only the nearest-neighbour selection runs in joint space.
+    """
+    K, S = speed.shape
+    safe = [np.zeros(S)]
+    if K > 1:
+        if sides.shape[2:5] != (K * (K - 1), S, S):
+            raise ValueError("players must share one strategy alphabet")
+        safe = _nearest_safe(sides, K, _tables(params, sides.shape[-1])[0])
     costs = []
     for p in range(K):
         view = [1] * K
         view[p] = S
-        costs.append((1.0 - w[p]) * safe[p] + w[p] * speed_sums[p].reshape(view))
+        costs.append((1.0 - w[p]) * safe[p] + w[p] * speed[p].reshape(view))
     return costs

@@ -9,24 +9,25 @@ the usual kinematic update
 
 except that braking through zero stops at the standstill point: when
 ``v + a*delta < 0`` the vehicle travels ``v^2 / (2|a|)`` and ends with
-``v' = 0`` (no reversing).  This update lives in one scalar kernel,
-``_advance``, which both ``step`` and ``rollout`` use.
+``v' = 0`` (no reversing).  This update lives in one kernel, ``_advance``,
+which takes floats or arrays; ``step`` and ``rollout`` both use it.
 
 Status advances monotonically enter -> inside -> exit against the occupancy
 disc of radius ``r_in + diameter``: a vehicle becomes *inside* when its
 centre distance first drops to that radius and *exit* when the distance first
 exceeds it again.  Because centre distance is monotone along each block of
 every path built here, this hysteresis rule is equivalent to switching at the
-two crossing arclens.
+two crossing arclens.  ``advance_status`` applies it to a code or an array.
 
 ``rollout`` takes a batch of requests (a simulation step's worth) and
-advances every strategy of the first-stage alphabet of each in scalar code;
-then it maps the later stage arclens of all requests on one path to poses
-with a single ``pose_batch`` call, one per distinct path in the batch.  Poses
-stay on ``pose_batch`` rather than the scalar ``pose`` because numpy's
-``arctan2`` and ``hypot`` differ from libm's in the last ulp at some points
-(about 3% of line and arc points sampled on the default geometry), so a
-scalar rollout would not reproduce the same arrays bit for bit.
+advances every strategy of every request at once, one array pass per horizon
+stage; then it maps all later stage arclens to poses with a single
+``NavigationPath.pose_batch`` call over the batch's distinct paths.  Stage 0
+comes from the scalar ``pose``, as in ``step``; later stages stay on
+``pose_batch`` because numpy's ``arctan2`` and ``hypot`` differ from libm's
+in the last ulp at some points (about 3% of line and arc points sampled on
+the default geometry), so rollouts of the two kinds would not agree bit for
+bit.
 """
 
 from __future__ import annotations
@@ -65,17 +66,21 @@ class Configuration:
         return self.r * math.cos(self.theta), self.r * math.sin(self.theta)
 
 
-# plain names: enum attribute lookup would dominate the per-stage status update
-_ENTER, _INSIDE, _EXIT = Status.ENTER, Status.INSIDE, Status.EXIT
+# plain ints: an enum attribute lookup would dominate a scalar status update, and
+# comparing an array with an enum member costs several times a plain int
+_ENTER, _INSIDE = int(Status.ENTER), int(Status.INSIDE)
+_STATUS = tuple(Status)  # by code
 
 
-def advance_status(status: Status, rho: float, threshold: float) -> Status:
-    """One hysteresis update of the traversal status given centre distance."""
-    if status == _ENTER and rho <= threshold:
-        return _INSIDE
-    if status == _INSIDE and rho > threshold:
-        return _EXIT
-    return status
+def advance_status(status, rho, threshold):
+    """One hysteresis update of status codes given centre distance: floats or arrays.
+
+    Enter -> inside at or below ``threshold`` and inside -> exit above it are
+    each one code up, so the update adds the two masks (an int for a
+    ``Status``, the array's own dtype for an array of codes).
+    """
+    return (status + ((status == _ENTER) & (rho <= threshold))
+            + ((status == _INSIDE) & (rho > threshold)))
 
 
 def _check_inputs(v: float, delta: float) -> None:
@@ -85,12 +90,17 @@ def _check_inputs(v: float, delta: float) -> None:
         raise ValueError(f"speed must be non-negative, got {v}")
 
 
-def _advance(s: float, v: float, a: float, delta: float) -> tuple[float, float]:
-    """One kinematic step from arclen ``s`` at speed ``v``: ``(s', v')``."""
+def _advance(s, v, a, delta):
+    """One kinematic step from arclen ``s`` at speed ``v``: ``(s', v')``, floats or arrays.
+
+    Each branch's displacement is multiplied by its 0/1 mask, which is exact
+    and needs no numpy call on floats; where the vehicle keeps going, 1 added
+    to the divisor keeps a zero ``a`` from dividing (a stop needs ``a < 0``).
+    """
     v_next = v + a * delta
-    if v_next < 0.0:
-        return s + v * v / (2.0 * abs(a)), 0.0  # brake to standstill mid-step
-    return s + (v * delta + 0.5 * a * delta * delta), v_next
+    go, stop = v_next >= 0.0, v_next < 0.0
+    disp = go * (v * delta + 0.5 * a * delta * delta) + stop * (v * v / (2.0 * abs(a) + go))
+    return s + disp, abs(go * v_next)  # abs: a stop's -0.0 becomes 0.0
 
 
 def step(x: Configuration, a: float, delta: float, path: NavigationPath,
@@ -101,7 +111,7 @@ def step(x: Configuration, a: float, delta: float, path: NavigationPath,
         raise ValueError("configuration is not bound to a path position")
     arclen, v_next = _advance(x.arclen, x.v, a, delta)
     rho, theta, _ = path.pose(arclen)
-    status = advance_status(x.status, rho, path.r_in + diameter)
+    status = _STATUS[advance_status(x.status, rho, path.r_in + diameter)]
     return Configuration(r=rho, theta=theta, v=v_next, status=status, arclen=arclen)
 
 
@@ -128,39 +138,30 @@ def rollout(requests: Sequence[tuple], accels: Sequence[float], horizon: int, de
     request order.  Strategy ``i`` applies the first-stage acceleration
     ``accels[i]`` at stage 0 and coasts for the remaining ``horizon - 2``
     steps; that is the whole strategy space, as only the first stage is ever
-    executed.  Stage 0 comes from scalar ``pose``; the later stage arclens
-    of all requests on one path go through one ``pose_batch`` call (see the
+    executed.  Kinematics and status run on ``(request, strategy)`` arrays,
+    one pass per stage.  Stage 0 comes from scalar ``pose``; the later stage
+    arclens of the whole batch go through one ``pose_batch`` call (see the
     module docstring for why).
     """
-    accels = [float(a) for a in accels]
-    shape = (len(requests), len(accels), horizon)
-    rho, theta = np.empty(shape), np.empty(shape)
-    arcs, vels, on_path = [], [], {}
-    for k, (path, arclen0, v0, _) in enumerate(requests):
-        v0, arclen0 = float(v0), float(arclen0)
-        _check_inputs(v0, delta)
-        rho[k, :, 0], theta[k, :, 0], _ = path.pose(arclen0)
-        for a in accels:
-            s, v = _advance(arclen0, v0, a, delta)
-            arcs.append([s])
-            vels.append([v0, v])
-            for _ in range(horizon - 2):
-                s, v = _advance(s, v, 0.0, delta)
-                arcs[-1].append(s)
-                vels[-1].append(v)
-        on_path.setdefault(path, []).append(k)
-    arcs = np.array(arcs).reshape(shape[:2] + (horizon - 1,))
-    for path, ks in on_path.items():
-        r_t, th_t, _ = path.pose_batch(arcs[ks].ravel())
-        rho[ks, :, 1:] = r_t.reshape(len(ks), len(accels), horizon - 1)
-        theta[ks, :, 1:] = th_t.reshape(len(ks), len(accels), horizon - 1)
-    codes = []
-    for (path, _, _, status0), r_rows in zip(requests, rho[:, :, 1:].tolist()):
-        thr = path.r_in + diameter
-        for r_row in r_rows:
-            st = status0
-            codes.append([st] + [st := advance_status(st, r, thr) for r in r_row])
-    status = np.array(codes, dtype=np.int8).reshape(shape)
-    v = np.array(vels).reshape(shape)
+    if not requests:
+        return []
+    paths = {}
+    which = np.array([paths.setdefault(path, len(paths)) for path, *_ in requests])
+    arc, v, rho, theta = np.empty((4, len(requests), len(accels), horizon))
+    arc[:, :, 0], v[:, :, 0] = np.array([req[1:3] for req in requests], dtype=float).T[:, :, None]
+    _check_inputs(float(v[:, 0, 0].min()), delta)
+    for k, (path, arclen0, _, _) in enumerate(requests):
+        rho[k, :, 0], theta[k, :, 0], _ = path.pose(float(arclen0))
+    a = np.array(accels, dtype=float)
+    for tau in range(1, horizon):
+        arc[:, :, tau], v[:, :, tau] = _advance(arc[:, :, tau - 1], v[:, :, tau - 1],
+                                                a if tau == 1 else 0.0, delta)
+    rho[:, :, 1:], theta[:, :, 1:], _ = NavigationPath.pose_batch(
+        list(paths), which[:, None, None], arc[:, :, 1:])
+    status = np.empty(arc.shape, dtype=np.int8)
+    status[:, :, 0] = np.array([int(req[3]) for req in requests])[:, None]
+    thr = np.array([path.r_in + diameter for path, *_ in requests])[:, None]
+    for tau in range(1, horizon):
+        status[:, :, tau] = advance_status(status[:, :, tau - 1], rho[:, :, tau], thr)
     return [Rollout(theta=theta[k], rho=rho[k], v=v[k], status=status[k])
             for k in range(len(requests))]

@@ -35,6 +35,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
+from itertools import zip_longest
 
 import numpy as np
 
@@ -176,20 +177,16 @@ class NavigationPath:
     segments: list
     r_in: float
     total_length: float = field(init=False)
-    _s0: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         cum = [0.0]
         for seg in self.segments:
             cum.append(cum[-1] + seg.length)
         self._starts = cum[:-1]
-        self._s0 = np.asarray(self._starts)
         self.total_length = cum[-1]
-        # column table for vectorised pose queries, one row per Segment field
-        table = np.array([[getattr(s, f) for f in s.__slots__] for s in self.segments], float).T
-        self._is_line, self._is_circle = table[0] == _LINE, table[0] == _CIRCLE
-        self._labels = table[1].astype(np.int8)
-        self._cols = table[3:].copy()
+        # column table for vectorised pose queries: the segment's start, then its fields
+        self._table = np.array([[s0] + [getattr(s, f) for f in s.__slots__]
+                                for s0, s in zip(self._starts, self.segments)], float).T
 
     def _segment_index(self, arclen):
         if not arclen >= 0.0:  # also rejects NaN
@@ -207,22 +204,29 @@ class NavigationPath:
         x, y = seg.point_at(t)
         return math.hypot(x, y), math.atan2(y, x) % TWO_PI, seg.label
 
-    def pose_batch(self, arclens):
-        """Vectorised ``pose``: returns (rho, theta, label_code) arrays."""
+    @staticmethod
+    def pose_batch(paths, which, arclens):
+        """Vectorised ``pose`` of ``arclens`` on ``paths[which]`` (broadcast; a scalar 0 poses
+        one path): (rho, theta, label_code) arrays.  On the paths' stacked segment tables a
+        point's segment is its path's first plus the count of its starts at or before it."""
         s = np.asarray(arclens, dtype=float)
         if not np.all(s >= 0.0):  # also rejects NaN
             raise ValueError("arclen must be non-negative")
-        idx = np.searchsorted(self._s0, s, side="right") - 1
-        t = s - self._s0[idx]
-        ax, ay, bx, by, radius, psi0, orient = self._cols[:, idx]
+        # NaN pads a shorter path's starts: it is never at or before an arclen
+        starts = np.array(list(zip_longest(*(p._starts for p in paths), fillvalue=math.nan))).T
+        first = np.cumsum([-1] + [len(p.segments) for p in paths[:-1]])
+        table = np.concatenate([p._table for p in paths], axis=1)
+        idx = first[which] + (starts[which] <= s[..., None]).sum(axis=-1)
+        s0, kind, label, _, ax, ay, bx, by, radius, psi0, orient = table[:, idx]
+        t = s - s0
         psi = psi0 + orient * t / radius
-        line = self._is_line[idx]
+        line = kind == _LINE
         x = np.where(line, ax + t * bx, ax + radius * np.cos(psi))
         y = np.where(line, ay + t * by, ay + radius * np.sin(psi))
-        circle = self._is_circle[idx]
+        circle = kind == _CIRCLE
         rho = np.where(circle, radius, np.hypot(x, y))
         theta = np.where(circle, psi, np.arctan2(y, x)) % TWO_PI
-        return rho, theta, self._labels[idx]
+        return rho, theta, label.astype(np.int8)
 
     def project(self, x, y):
         """(arclen, squared distance) of the path point nearest to (x, y); first minimum wins."""

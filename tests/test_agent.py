@@ -16,7 +16,7 @@ from roundabout_sim.agent import (
     observe,
     update_estimates,
 )
-from roundabout_sim.cost import CostParams, pair_order, pair_sides
+from roundabout_sim.cost import CostParams, pair_order, pair_sides, speed_sums
 from roundabout_sim.dynamics import Configuration, rollout
 from roundabout_sim.game import GameParams
 from roundabout_sim.geometry import (
@@ -215,18 +215,19 @@ class TestReestimateOracle:
 
     @pytest.mark.parametrize("seed", [42, 43, 44])
     def test_frozen_rows_equal_the_game_priced_from_scratch(self, geom, monkeypatch, seed):
-        # every re-estimation of an n=8 run: the weight fitted on the frozen pair
-        # rows equals the fit on the two-player game priced afresh, both by the
-        # package's kernel and by the reference
+        # every re-estimation of an n=8 run: the weight fitted on the frozen speed
+        # and pair rows equals the fit on the two-player game priced afresh, both
+        # by the package's kernels and by the reference
         batched = agent._reestimate
         calls = []
 
         def checked(state, j, obs_j, cost_params, agent_params, delta):
             got = batched(state, j, obs_j, cost_params, agent_params, delta)
             ids = sorted((state.vid, j))
+            trajs = [state.rolls[v] for v in ids]
             fresh = replace(state, rolls={v: state.rolls[v] for v in ids},
-                            sides=pair_sides([state.rolls[v] for v in ids], *pair_order(2),
-                                             cost_params, geom.r_in))
+                            speed=speed_sums(trajs, cost_params),
+                            sides=pair_sides(trajs, *pair_order(2), cost_params, geom.r_in))
             assert got == batched(fresh, j, obs_j, cost_params, agent_params, delta)
             assert got == reference_reestimate(state, j, obs_j, cost_params,
                                                agent_params, delta, geom.r_in)
@@ -263,8 +264,11 @@ class TestFrozenGame:
                     got, want = getattr(roll, name), getattr(fresh, name)
                     assert got.dtype == want.dtype and got.shape == want.shape
                     assert got.tobytes() == want.tobytes(), (vid, name)
-            # the game's rows of the step's one pair-kernel call price it as if alone
+            # the game's rows of the step's one call of each kernel price it as if alone
             ids = sorted(state.rolls)
+            alone = speed_sums([state.rolls[v] for v in ids], cost_params)
+            assert state.speed.shape == alone.shape
+            assert state.speed.tobytes() == alone.tobytes()
             if len(ids) == 1:
                 assert state.sides is None
             else:
@@ -309,19 +313,19 @@ class TestFrozenGame:
 
 
 class TestStagedStep:
-    def test_one_rollout_call_and_one_pose_batch_per_path_per_step(self, geom, monkeypatch):
+    def test_one_rollout_call_and_one_pose_batch_per_step(self, geom, monkeypatch):
         real_rollout, real_step = agent.rollout, sim.prepare_step
         real_pose_batch = NavigationPath.pose_batch
-        posed = []      # the paths posed by each rollout call
+        posed = []      # the paths of each pose_batch call, per rollout call
         per_step = []   # rollout calls made by each step's pass 2
 
         def counting(*args):
             posed.append([])
             return real_rollout(*args)
 
-        def pose_batch(path, arclens):
-            posed[-1].append(path)
-            return real_pose_batch(path, arclens)
+        def pose_batch(paths, which, arclens):
+            posed[-1].append(list(paths))
+            return real_pose_batch(paths, which, arclens)
 
         def staged(*args):
             before = len(posed)
@@ -335,18 +339,21 @@ class TestStagedStep:
         steps = sum(run_simulation(8, seed, geom).n_steps for seed in (42, 43, 44))
         assert len(per_step) == steps and max(per_step) == 1
         assert sum(per_step) == len(posed)  # decisions roll nothing out themselves
-        assert all(paths and len(paths) == len(set(paths)) for paths in posed)
+        assert all(len(calls) == 1 and len(calls[0]) == len(set(calls[0])) for calls in posed)
+        assert max(len(calls[0]) for calls in posed) > 1  # one call serves several paths
 
     def test_one_pair_kernel_call_per_step_and_one_pricing_per_game(self, geom, monkeypatch):
-        # the call shape the traced benchmark pins: pairs are priced only while a
-        # step is prepared, at most once per step; payoff_tensors runs once per
-        # decision with that game's K bundles and once per re-estimation with 2
+        # the call shape the traced benchmark pins: pairs and speed rows are priced
+        # only while a step is prepared, once per step; payoff_tensors runs once
+        # per decision with that game's K speed rows and once per re-estimation with 2
         real_sides, real_payoff = agent.pair_sides, agent.payoff_tensors
+        real_speed = agent.speed_sums
         real_prep, real_update, real_decide = sim.prepare_step, sim.update_estimates, sim.decide
         real_reestimate = agent._reestimate
         stack = ["run"]   # the pass we are in
         kernel = []       # the pass of each pair-kernel call
         per_step = []     # pair-kernel calls made by each step's preparation
+        speed_passes = [] # the pass of each speed_sums call
         priced = []       # (pass, K) of each payoff_tensors call
         shapes = []       # (K of each payoff_tensors call made, game's K) per decision
                           # or re-estimation
@@ -366,9 +373,11 @@ class TestStagedStep:
 
         monkeypatch.setattr(agent, "pair_sides",
                             lambda *args: kernel.append(stack[-1]) or real_sides(*args))
+        monkeypatch.setattr(agent, "speed_sums",
+                            lambda *args: speed_passes.append(stack[-1]) or real_speed(*args))
         monkeypatch.setattr(agent, "payoff_tensors",
-                            lambda trajs, *args: priced.append((stack[-1], len(trajs)))
-                            or real_payoff(trajs, *args))
+                            lambda speed, *args: priced.append((stack[-1], len(speed)))
+                            or real_payoff(speed, *args))
         def staged(*args):
             before = len(kernel)
             prep = within("prepare", real_prep)(*args)
@@ -384,6 +393,7 @@ class TestStagedStep:
         steps = sum(run_simulation(8, seed, geom).n_steps for seed in (42, 43, 44))
         assert len(per_step) == steps and max(per_step) == 1
         assert set(kernel) == {"prepare"}  # none under update_estimates or decide
+        assert speed_passes == ["prepare"] * steps
         assert {p for p, _ in priced} == {"decide", "reestimate"}
         decisions = sum(p == "decide" for p, _ in priced)
         reestimates = sum(p == "reestimate" for p, _ in priced)

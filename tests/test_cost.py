@@ -19,7 +19,14 @@ from oracles import (
     reference_payoff_tensors,
     step_cost,
 )
-from roundabout_sim.cost import CostParams, horizon_weights, pair_order, pair_sides, payoff_tensors
+from roundabout_sim.cost import (
+    CostParams,
+    horizon_weights,
+    pair_order,
+    pair_sides,
+    payoff_tensors,
+    speed_sums,
+)
 from roundabout_sim.dynamics import Configuration, Rollout, rollout, step
 from roundabout_sim.game import DEFAULT_ACCELS
 from roundabout_sim.geometry import Maneuver, PathKind, RoundaboutSpec, Status, build_roundabout
@@ -33,9 +40,9 @@ def geom():
 
 
 def priced(trajs, w, params, r_in):
-    """``payoff_tensors`` of one game, its pairs priced by the package's pair kernel."""
-    return payoff_tensors(trajs, w, pair_sides(trajs, *pair_order(len(trajs)), params, r_in),
-                          params)
+    """``payoff_tensors`` of one game, its speed rows and pairs priced by the package's kernels."""
+    return payoff_tensors(speed_sums(trajs, params), w,
+                          pair_sides(trajs, *pair_order(len(trajs)), params, r_in), params)
 
 
 def cfg(r=20.0, theta=0.0, v=8.0, status=Status.INSIDE, arclen=None):
@@ -368,15 +375,23 @@ class TestPayoffTensorsBitIdentity:
                     assert np.array_equal(g[b], one)
 
     def test_unequal_alphabets_rejected(self, geom):
-        circle = geom.circle
-        a = rollout([(circle, 0.0, 5.0, Status.INSIDE)], DEFAULT_ACCELS, 4, 0.25)[0]
-        b = rollout([(circle, 9.0, 5.0, Status.INSIDE)], (-10.0, 0.0, 10.0), 4, 0.25)[0]
+        # speed rows and pair rows of two alphabets cannot make one game, and
+        # neither kernel prices bundles of two alphabets together
+        requests = [(geom.circle, 0.0, 5.0, Status.INSIDE), (geom.circle, 9.0, 5.0, Status.INSIDE)]
+        five = rollout(requests, DEFAULT_ACCELS, 4, 0.25)
+        three = rollout(requests, (-10.0, 0.0, 10.0), 4, 0.25)
+        for a, b in ((five, three), (three, five)):
+            with pytest.raises(ValueError):
+                payoff_tensors(speed_sums(a, P), [0.5, 0.5],
+                               pair_sides(b, *pair_order(2), P, geom.r_in), P)
         with pytest.raises(ValueError):
-            payoff_tensors([a, b], [0.5, 0.5], None, CostParams())
+            speed_sums([five[0], three[1]], P)
+        with pytest.raises(ValueError):
+            pair_sides([five[0], three[1]], *pair_order(2), P, geom.r_in)
 
 
 class TestStepPairKernel:
-    """One ``pair_sides`` call over a step's deduplicated pairs prices each game as if alone."""
+    """One kernel call over a step's rollouts or deduplicated pairs prices each game as if alone."""
 
     @pytest.mark.parametrize("horizon", [4, 9])
     def test_shuffled_step_batches_bit_identical_to_per_game(self, geom, horizon):
@@ -409,3 +424,14 @@ class TestStepPairKernel:
                 assert got.tobytes() == alone.tobytes()
                 games_checked += 1
         assert games_checked > 100
+
+    @pytest.mark.parametrize("horizon", [4, 9])
+    def test_step_speed_rows_bit_identical_to_each_rollout_alone(self, geom, horizon):
+        # one speed_sums call over a step's shuffled rollouts, some repeated
+        pool = rollout_pool(geom, horizon)
+        rng = np.random.default_rng(50 + horizon)
+        picks = rng.integers(0, len(pool), size=2 * len(pool))
+        rows = speed_sums([pool[k] for k in picks], P)
+        assert rows.shape == (len(picks), 5)
+        for row, k in zip(rows, picks):
+            assert row.tobytes() == speed_sums([pool[k]], P)[0].tobytes()

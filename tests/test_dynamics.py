@@ -12,6 +12,7 @@ from roundabout_sim.dynamics import Configuration, rollout, step
 from roundabout_sim.game import DEFAULT_ACCELS
 from roundabout_sim.geometry import (
     Maneuver,
+    NavigationPath,
     PathKind,
     RoundaboutSpec,
     Status,
@@ -179,31 +180,33 @@ class TestRollout:
                 checked += 1
         assert checked == len(requests)
 
-    def test_one_pose_batch_per_path_per_call(self, geom, monkeypatch):
-        paths = [geom.circle, geom.paths[PathKind(Maneuver.GO_STRAIGHT, 0)]]
+    @staticmethod
+    def count_pose_batch(monkeypatch):
+        real = NavigationPath.pose_batch
         calls = []
-        for path in paths:
-            original = path.pose_batch
-            monkeypatch.setattr(path, "pose_batch",
-                                lambda s, path=path, original=original:
-                                calls.append((path, len(s))) or original(s))
+
+        def counting(paths, which, arclens):
+            calls.append((list(paths), np.shape(arclens)))
+            return real(paths, which, arclens)
+
+        monkeypatch.setattr(NavigationPath, "pose_batch", counting)
+        return calls
+
+    def test_one_pose_batch_per_call(self, geom, monkeypatch):
+        # the later stages of the whole batch, over its distinct paths in first-seen order
+        paths = [geom.circle, geom.paths[PathKind(Maneuver.GO_STRAIGHT, 0)]]
+        calls = self.count_pose_batch(monkeypatch)
         requests = [(paths[k % 2], 10.0 + k, 8.0, Status.INSIDE) for k in range(5)]
         assert len(rollout(requests, DEFAULT_ACCELS, 4, 0.25)) == 5
-        assert calls == [(paths[0], 3 * 5 * 3), (paths[1], 2 * 5 * 3)]
+        assert calls == [(paths, (5, 5, 3))]
         assert rollout([], DEFAULT_ACCELS, 4, 0.25) == []
+        assert len(calls) == 1
 
     def test_one_pose_batch_per_rollout(self, geom, monkeypatch):
         path = geom.paths[PathKind(Maneuver.GO_STRAIGHT, 0)]
-        calls = []
-        original = path.pose_batch
-
-        def counting(s):
-            calls.append(len(s))
-            return original(s)
-
-        monkeypatch.setattr(path, "pose_batch", counting)
+        calls = self.count_pose_batch(monkeypatch)
         rollout([(path, 10.0, 8.0, Status.ENTER)], DEFAULT_ACCELS, 4, 0.25)
-        assert calls == [5 * 3]
+        assert calls == [([path], (1, 5, 3))]
 
     def test_rejects_bad_delta_and_speed(self, geom):
         path = geom.circle

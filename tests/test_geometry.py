@@ -20,6 +20,7 @@ from oracles import (
 )
 from roundabout_sim.geometry import (
     Maneuver,
+    NavigationPath,
     PathKind,
     RoundaboutSpec,
     Status,
@@ -145,7 +146,7 @@ class TestPathConstruction:
         for kind in ALL_KINDS:
             p = build_path(geom, kind)
             s = np.linspace(0.0, p.total_length, 4000)
-            rho, _, labels = p.pose_batch(s)
+            rho, _, labels = NavigationPath.pose_batch([p], 0, s)
             for label, sign in ((int(Status.ENTER), -1), (int(Status.EXIT), +1)):
                 block = rho[labels == label]
                 diffs = sign * np.diff(block)
@@ -231,9 +232,9 @@ class TestPose:
             with pytest.raises(ValueError):
                 p.pose(math.nan)
             with pytest.raises(ValueError):
-                p.pose_batch([1.0, math.nan])
+                NavigationPath.pose_batch([p], 0, [1.0, math.nan])
             with pytest.raises(ValueError):
-                p.pose_batch(np.array([math.nan]))
+                NavigationPath.pose_batch([p], 0, np.array([math.nan]))
 
     def test_extrapolates_past_end(self, geom):
         p = build_path(geom, PathKind(Maneuver.TURN_RIGHT, 0))
@@ -257,13 +258,25 @@ class TestPose:
     def test_batch_bit_identical_to_reference(self, ways):
         geom = build_roundabout(RoundaboutSpec(ways=ways))
         rng = np.random.default_rng(ways)
-        for p in all_paths(geom):
+        paths, which, mixed = all_paths(geom), [], []
+        for k, p in enumerate(paths):
             batches = [np.array(boundary_arclens(p))]
             batches += [rng.uniform(0.0, p.total_length + 20.0, size=n) for n in (1, 2, 15, 400)]
             for s in batches:
-                for got, want in zip(p.pose_batch(s), reference_pose_batch(p, s)):
+                for got, want in zip(NavigationPath.pose_batch([p], 0, s),
+                                     reference_pose_batch(p, s)):
                     assert got.dtype == want.dtype
                     assert np.array_equal(got, want), s
+                which += [k] * len(s)
+                mixed += list(s)
+        # every path's points in one shuffled call over paths of 1 to 5 segments
+        order = rng.permutation(len(mixed))
+        which, mixed = np.array(which)[order], np.array(mixed)[order]
+        got = NavigationPath.pose_batch(paths, which, mixed)
+        for k, p in enumerate(paths):
+            for g, want in zip(got, reference_pose_batch(p, mixed[which == k])):
+                assert g.dtype == want.dtype
+                assert np.array_equal(g[which == k], want), k
 
     @given(s=st.floats(0.0, 300.0), data=st.data())
     @settings(max_examples=60)
@@ -272,7 +285,7 @@ class TestPose:
         kind = data.draw(st.sampled_from(ALL_KINDS))
         p = build_path(geom, kind)
         rho, theta, label = p.pose(s)
-        rb, tb, lb = p.pose_batch(np.array([s]))
+        rb, tb, lb = NavigationPath.pose_batch([p], 0, np.array([s]))
         # libm vs numpy atan2/hypot may differ in the last ulp
         assert rb[0] == pytest.approx(rho, rel=1e-12, abs=1e-12)
         assert tb[0] == pytest.approx(theta, rel=1e-12, abs=1e-12)
