@@ -22,7 +22,8 @@ Each vehicle runs the same loop every control step:
 
 3. **Decide** by building the sequential game among the observed vehicles
    (most aggressive first, by estimated weight; ego uses its true weight) and
-   applying the first acceleration of its own equilibrium strategy.
+   applying the first acceleration of its own equilibrium strategy, reading
+   its game's rows of the step's one rollout table and prices (``prepare_step``).
 
 A deadlock breaker keeps the system live: when every observed vehicle
 (including ego) is at a standstill, the vehicle flips a private coin and, on
@@ -46,11 +47,11 @@ from .game import GameParams, order_players, tensor_equilibrium
 from .geometry import TWO_PI, Geometry, NavigationPath, Status
 
 DEFAULT_W_GRID = tuple(round(0.1 * k, 1) for k in range(1, 10))
-#: ``prepare_step``'s output: ``rolls`` maps a key to ``(arclen, Rollout)``, and ``games`` a
-#: decider to its players' keys by id, their rows of ``speed`` (one per key of ``rolls``, in
-#: order) and its pairs' rows (``pair_order``) on axis 2 of ``sides``
-StepPrep = NamedTuple("StepPrep", [("rolls", dict), ("games", dict), ("speed", np.ndarray),
-                                   ("sides", np.ndarray)])
+#: ``prepare_step``'s output: ``table``, ``arclen`` and ``speed`` have a row per distinct key of
+#: the step; ``games`` maps a decider to its players' keys by id, their rows and its pairs' rows
+#: (``pair_order``) on axis 2 of ``sides``
+StepPrep = NamedTuple("StepPrep", [("table", Rollout), ("arclen", list), ("games", dict),
+                                   ("speed", np.ndarray), ("sides", np.ndarray)])
 
 __all__ = [
     "AgentParams",
@@ -101,11 +102,10 @@ class AgentParams:
 class AgentState:
     """Everything one vehicle remembers between steps.
 
-    ``rolls`` (every player's rollout, ego included), ``order``, ``speed``
-    (the players' ``speed_sums`` rows by id) and ``sides`` (its ordered pairs'
-    ``pair_sides`` rows in ``pair_order``; ``None`` for one player) freeze the
-    last game this vehicle played; the estimator replays it when a neighbour
-    strays from its prediction in ``pred_xy``.
+    ``prep`` (the step it last decided in, whose ``games[vid]`` holds its
+    game's rows) and ``order`` freeze the last game this vehicle played; the
+    estimator replays it when a neighbour strays from its prediction in
+    ``pred_xy``.
     """
 
     vid: int
@@ -115,10 +115,8 @@ class AgentState:
     est_path: Dict[int, NavigationPath] = field(default_factory=dict)
     prev_obs: Dict[int, Configuration] = field(default_factory=dict)
     pred_xy: Dict[int, tuple] = field(default_factory=dict)
-    rolls: Dict[int, Rollout] = field(default_factory=dict)
+    prep: Optional[StepPrep] = None
     order: tuple = ()
-    speed: Optional[np.ndarray] = None
-    sides: Optional[np.ndarray] = None
 
 
 @dataclass(frozen=True)
@@ -215,63 +213,44 @@ def _game_keys(state: AgentState, obs: Mapping[int, Configuration], ego_path: Na
     return {vid: (ego_path if vid == state.vid else state.est_path[vid], obs[vid]) for vid in ids}
 
 
-def prepare_step(views, prev: Optional[StepPrep], cost_params: CostParams,
-                 game_params: GameParams, agent_params: AgentParams, delta: float,
-                 r_in: float, diameter: float = VEHICLE_DIAMETER) -> StepPrep:
+def prepare_step(views, cost_params: CostParams, game_params: GameParams,
+                 agent_params: AgentParams, delta: float, r_in: float,
+                 diameter: float = VEHICLE_DIAMETER) -> StepPrep:
     """Every rollout, speed row and pair price the games of ``views`` need.
 
-    ``views`` holds ``(state, obs, ego_path)`` per deciding vehicle, after
-    ``update_estimates``.  A key found in ``prev.rolls`` (last step's; a stopped
-    vehicle repeats its key) reuses its rollout, the other distinct keys are
-    rolled out in one ``rollout`` call.  Every rollout's speed row is priced in
-    one ``speed_sums`` call, and every game's ordered pairs, deduplicated by
-    the slots of their two keys in ``rolls``, in one ``pair_sides`` call."""
-    rolls, slot, todo, rows, games = {}, {}, [], {}, {}
+    ``views`` holds ``(state, obs, ego_path)`` per deciding vehicle (at least
+    one), after ``update_estimates``.  One call each rolls out the games'
+    distinct keys (``rollout``), prices their rows (``speed_sums``) and every
+    game's ordered pairs, deduplicated by their two rows (``pair_sides``)."""
+    slot, rows, games = {}, {}, {}
     for state, obs, ego_path in views:
         keys = _game_keys(state, obs, ego_path, agent_params.player_cap)
-        for key in keys.values():
-            if key not in slot:
-                slot[key] = len(slot)
-                rolls[key] = prev.rolls.get(key) if prev is not None else None
-                if rolls[key] is None:
-                    todo.append(key)
-        ks = [slot[key] for key in keys.values()]
+        ks = [slot.setdefault(key, len(slot)) for key in keys.values()]
         games[state.vid] = keys, ks, [rows.setdefault((ks[p], ks[q]), len(rows))
-                                      for p, q in zip(*pair_order(len(ks))[:2])]
-    if todo:
-        requests = [(path, path.project(*c.xy())[0] if c.arclen is None else c.arclen, c.v,
-                     c.status) for path, c in todo]
-        done = rollout(requests, game_params.strategy_accels, game_params.horizon, delta,
-                       diameter)
-        rolls.update((key, (req[1], roll)) for key, req, roll in zip(todo, requests, done))
-    bundles = [roll for _, roll in rolls.values()]
-    sides = pair_sides(bundles, [p for p, _ in rows], [q for _, q in rows],
-                       [rows[q, p] for p, q in rows], cost_params, r_in) if rows else None
-    return StepPrep(rolls, games, speed_sums(bundles, cost_params), sides)
+                                      for p, q in zip(*pair_order(len(ks)))]
+    arclen = [path.project(*c.xy())[0] if c.arclen is None else c.arclen for path, c in slot]
+    table = rollout([(path, s, c.v, c.status) for (path, c), s in zip(slot, arclen)],
+                    game_params.strategy_accels, game_params.horizon, delta, diameter)
+    sides = pair_sides(table, [p for p, _ in rows], [q for _, q in rows],
+                       [rows[q, p] for p, q in rows], cost_params, r_in)
+    return StepPrep(table, arclen, games, speed_sums(table, cost_params), sides)
 
 
-def decide(state: AgentState, obs: Mapping[int, Configuration], ego_path: NavigationPath,
-           geometry: Geometry, cost_params: CostParams, game_params: GameParams,
-           agent_params: AgentParams, delta: float, prep: Optional[StepPrep] = None,
-           diameter: float = VEHICLE_DIAMETER) -> DecisionResult:
+def decide(state: AgentState, obs: Mapping[int, Configuration], prep: StepPrep,
+           cost_params: CostParams, game_params: GameParams, agent_params: AgentParams,
+           delta: float, diameter: float = VEHICLE_DIAMETER) -> DecisionResult:
     """One decision round for ``state.vid`` given its observation ``obs``.
 
     ``update_estimates`` must have run on the same ``obs``: every neighbour's
-    weight and hypothesis path are read from ``state``.  Rollouts, speed and pair
-    rows (one gather each) come from ``prep``, ``prepare_step``'s output for views
-    that hold this one; without it, ``prepare_step`` runs for this one alone.
+    weight and hypothesis path are read from ``state``.  The game's rows (one
+    gather each) come from ``prep``, prepared for views that hold this one.
     """
     ego_id = state.vid
-    ego = obs[ego_id]
-    if prep is None:
-        prep = prepare_step([(state, obs, ego_path)], None, cost_params, game_params,
-                            agent_params, delta, geometry.r_in, diameter)
     keys, slots, rows = prep.games[ego_id]
     weights = {vid: state.w_agg if vid == ego_id else state.w_hat[vid] for vid in keys}
     accels = game_params.strategy_accels
-    rolls = {vid: prep.rolls[key][1] for vid, key in keys.items()}
     speed = prep.speed[slots]
-    sides = prep.sides[:, :, rows] if rows else None
+    sides = prep.sides[:, :, rows]
 
     order = tuple(order_players(weights))
     profile = _play(speed, weights, order, sides, cost_params)
@@ -280,16 +259,16 @@ def decide(state: AgentState, obs: Mapping[int, Configuration], ego_path: Naviga
     override = False
     if all(obs[v].v < agent_params.deadlock_speed_eps for v in obs):
         draw = state.rng.random()  # consumed whenever everyone is stopped
-        yielding = ego.status == Status.ENTER and any(
+        yielding = obs[ego_id].status == Status.ENTER and any(
             obs[j].status == Status.INSIDE for j in obs if j != ego_id)
         if draw < agent_params.deadlock_prob and not yielding:
             accel = agent_params.deadlock_accel
             override = True
 
-    state.rolls, state.order, state.speed, state.sides = rolls, order, speed, sides
-    state.pred_xy = {vid: step(Configuration(c.r, c.theta, c.v, c.status, prep.rolls[path, c][0]),
+    state.prep, state.order = prep, order
+    state.pred_xy = {vid: step(Configuration(c.r, c.theta, c.v, c.status, prep.arclen[k]),
                                float(accels[profile[vid]]), delta, path, diameter).xy()
-                     for vid, (path, c) in keys.items() if vid != ego_id}
+                     for (vid, (path, c)), k in zip(keys.items(), slots) if vid != ego_id}
     return DecisionResult(accel=accel, override=override, profile=profile, weights=weights)
 
 
@@ -307,26 +286,24 @@ def _reestimate(state: AgentState, j: int, obs_j: Configuration,
                 cost_params: CostParams, agent_params: AgentParams, delta: float) -> float:
     """Replay last step's two-player game under every candidate weight; pick the best fit.
 
-    The games for all weights are priced by one ``payoff_tensors`` call with
-    a column of candidate weights and solved as one batch, on the rollouts,
-    the decision order, the speed rows and the pair rows frozen in ``state``
-    at decision time: nothing is priced again, the speed rows of ego and
-    ``j`` are selected by id and the rows of ``(ego, j)`` and ``(j, ego)`` in
-    their ``pair_order``.
+    One ``payoff_tensors`` call with a column of candidate weights prices the
+    games, solved as one batch, on the game frozen in ``state``: nothing is
+    priced again, ego's and ``j``'s rows of the step are selected by id and
+    the rows of ``(ego, j)`` and ``(j, ego)`` in their ``pair_order``.
     """
-    ids = sorted(state.rolls)
-    pair = {state.vid, j}
-    ego, other, _ = pair_order(len(ids))
-    sides = state.sides[:, :, [n for n, (p, q) in enumerate(zip(ego, other))
-                               if {ids[p], ids[q]} == pair]]
-    speed = state.speed[[k for k, vid in enumerate(ids) if vid in pair]]
+    keys, slots, rows = state.prep.games[state.vid]
+    ids, pair = list(keys), {state.vid, j}
+    ego, other = pair_order(len(ids))
+    sides = state.prep.sides[:, :, [rows[n] for n, (p, q) in enumerate(zip(ego, other))
+                                    if {ids[p], ids[q]} == pair]]
+    speed = state.prep.speed[[slots[k] for k, vid in enumerate(ids) if vid in pair]]
     grid = np.array(agent_params.w_grid, dtype=float)[:, None, None]
     w_ego = (np.full_like(grid, state.w_agg)
              if agent_params.estimator_ego_uses_true_weight else grid)
     profile = _play(speed, {state.vid: w_ego, j: grid}, state.order, sides, cost_params)
-    v_prev = state.rolls[j].v[0, 0]
+    v_j = state.prep.table.v[slots[ids.index(j)]]
+    v_prev, v1 = v_j[0, 0], v_j[profile[j], 1]
     a_obs = (obs_j.v - v_prev) / delta
-    v1 = state.rolls[j].v[profile[j], 1]
     err = np.abs((v1 - v_prev) / delta - a_obs)
     prev_est = state.w_hat[j]
     return min(zip(err.tolist(), (abs(w - prev_est) for w in agent_params.w_grid),

@@ -25,11 +25,12 @@ Campaign rows live at top level (before any section header)::
     campaign = 6 x 1000 seed 42      # n_vehicles x n_runs, optional seed
     seed = 7                         # default base seed for rows without one
 
-Rows without an explicit seed fall back to the resolved base seed; with no
-``campaign`` lines at all the default sweep (4..8 vehicles, 200 runs each)
-is used.  Base-seed precedence: ``--seed`` flag, then the
-``ROUNDABOUT_SIM_SEED`` environment variable, then the config ``seed`` key,
-then 42.  Run *i* of a row uses ``base_seed + i``.
+A row's vehicles must fit the roundabout's two spawn slots per arm
+(``sim.max_vehicles``).  Rows without an explicit seed fall back to the
+resolved base seed; with no ``campaign`` lines at all the default sweep
+(4..8 vehicles, 200 runs each) is used.  Base-seed precedence: ``--seed``
+flag, then the ``ROUNDABOUT_SIM_SEED`` environment variable, then the config
+``seed`` key, then 42.  Run *i* of a row uses ``base_seed + i``.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .agent import AgentParams
 from .cost import CostParams
 from .game import GameParams
 from .geometry import RoundaboutSpec
-from .sim import SimParams
+from .sim import SimParams, max_vehicles
 
 DEFAULT_SEED = 42
 DEFAULT_RUNS = 200
@@ -131,8 +132,6 @@ def _parse_campaign(value: str, line_no: int) -> CampaignRow:
             f"'<n_vehicles> x <n_runs> [seed <s>]', got {value!r}")
     n, runs = int(m.group(1)), int(m.group(2))
     seed = int(m.group(3)) if m.group(3) is not None else None
-    if n < 1:
-        raise ConfigError(f"line {line_no}: campaign needs at least 1 vehicle")
     return CampaignRow(n, runs, seed)
 
 
@@ -144,7 +143,7 @@ def parse_config(text: str) -> ExperimentConfig:
     """
     section = ""
     values: Dict[str, dict] = {name: {} for name in _SECTIONS}
-    campaign: List[CampaignRow] = []
+    campaign: List[Tuple[int, CampaignRow]] = []  # with its line number
     seed: Optional[int] = None
     seen = set()
 
@@ -167,7 +166,7 @@ def parse_config(text: str) -> ExperimentConfig:
 
         if not section:
             if key == "campaign":
-                campaign.append(_parse_campaign(value, line_no))
+                campaign.append((line_no, _parse_campaign(value, line_no)))
                 continue
             if key == "seed":
                 if "seed" in seen:
@@ -203,13 +202,18 @@ def parse_config(text: str) -> ExperimentConfig:
             game=GameParams(**values["game"]),
             agent=AgentParams(**values["agent"]),
             sim=SimParams(**values["sim"]),
-            campaign=tuple(campaign),
+            campaign=tuple(row for _, row in campaign),
             seed=seed,
             out=values["output"].get("out"),
             traces=values["output"].get("traces", False),
         )
     except ValueError as exc:
         raise ConfigError(str(exc))
+    cap = max_vehicles(cfg.spec.ways)
+    for line_no, row in campaign:
+        if not 1 <= row.n_vehicles <= cap:
+            raise ConfigError(f"line {line_no}: campaign row {row.n_vehicles} x {row.n_runs} needs "
+                              f"1 to {cap} vehicles on a {cfg.spec.ways}-way roundabout")
     return cfg
 
 

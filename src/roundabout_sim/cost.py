@@ -28,14 +28,14 @@ gap splits between both components: a comfort wall at ``D_c`` then still
 guarantees roughly ``D_c`` of true clearance, whereas a summed gap of ``D_c``
 can shrink to ``D_c / sqrt(2)`` of actual separation.
 
-``pair_sides`` prices ordered pairs of rollout bundles and ``speed_sums``
-each bundle's speed term, so one call of each serves every game of a step;
-``payoff_tensors`` turns one game's speed and pair rows into discounted-cost
-tensors with one axis per player, which the game solver consumes directly.
-A weight given as a column of candidates adds a leading batch axis, which is
-how the estimator prices one game under every candidate aggressiveness in
-one call.  The scalar per-vehicle forms of
-the same terms live in ``tests/oracles.py`` as the independent reference the
+``pair_sides`` prices ordered pairs of a rollout table's rows and
+``speed_sums`` each row's speed term, so one call of each over a step's table
+serves every game of the step; ``payoff_tensors`` turns one game's speed and
+pair rows into discounted-cost tensors with one axis per player, which the
+game solver consumes directly.  A weight given as a column of candidates adds
+a leading batch axis, which is how the estimator prices one game under every
+candidate aggressiveness in one call.  The scalar per-vehicle forms of the
+same terms live in ``tests/oracles.py`` as the independent reference the
 tensors are checked against.
 """
 
@@ -108,27 +108,26 @@ def _tables(params: CostParams, horizon: int):
 
 @functools.lru_cache(maxsize=8)
 def pair_order(K: int):
-    """Ordered pairs ``p != q`` of K players, ego-major: lists of ``p``, ``q`` and the reverse."""
+    """Ordered pairs ``p != q`` of K players, ego-major: lists of ``p`` and ``q``."""
     ego, other = np.nonzero(~np.eye(K, dtype=bool))
-    return ego.tolist(), other.tolist(), (other * (K - 1) + ego - (ego > other)).tolist()
+    return ego.tolist(), other.tolist()
 
 
-def pair_sides(trajs: Sequence, ego, other, rev, params: CostParams, r_in: float) -> np.ndarray:
-    """Front and back ``(candidate gap, side cost)`` of ordered pairs of rollout bundles.
+def pair_sides(table, ego, other, rev, params: CostParams, r_in: float) -> np.ndarray:
+    """Front and back ``(candidate gap, side cost)`` of ordered pairs of a rollout table's rows.
 
-    Pair ``n`` has ego ``trajs[ego[n]]``, other ``trajs[other[n]]`` and its
-    reverse at ``rev[n]``; ``pair_order(K)`` gives one game's.  The result is
-    ``(2, 2, P, S, S, h)``, indexed ``[value, side, n, i, j, t]``: gap (0) or
-    cost (1), front (0) or back (1), ego playing ``i``, other playing ``j``,
-    stage ``t``.  A gap of ``inf`` marks a vehicle outside ego's window on
-    that side, whose cost is 0.  The back gap and distance from ``p`` to
-    ``q`` are the front ones from ``q`` to ``p``, a transpose: each gap is
-    still reduced from its own raw angle difference (a mod of the negated
-    front gap would round tiny gaps to zero).  All operations are elementwise
-    over pairs, so a pair's prices do not depend on the call's other pairs.
+    Pair ``n`` is rows ``ego[n]`` and ``other[n]``, its reverse pair
+    ``rev[n]``; ``pair_order(K)`` gives one game's.  The result is ``(2, 2,
+    P, S, S, h)``, indexed ``[value, side, n, i, j, t]``: gap (0) or cost
+    (1), front (0) or back (1), ego playing ``i``, other playing ``j``, stage
+    ``t``.  A gap of ``inf`` marks a vehicle outside ego's window on that
+    side, whose cost is 0.  The back gap and distance from ``p`` to ``q`` are
+    the front ones from ``q`` to ``p``, a transpose: each gap is still
+    reduced from its own raw angle difference (a mod of the negated front gap
+    would round tiny gaps to zero).  All operations are elementwise over
+    pairs, so a pair's prices do not depend on the call's other pairs.
     """
-    theta, rho = np.array([t.theta for t in trajs]), np.array([t.rho for t in trajs])
-    stat = np.array([t.status for t in trajs])
+    theta, rho, stat = table.theta, table.rho, table.status
     _, reach, coef, wall = _tables(params, theta.shape[-1])
     gap = (theta[other][:, None] - theta[ego][:, :, None]) % TWO_PI
     d = np.hypot(r_in * gap, np.abs(rho[ego][:, :, None] - rho[other][:, None]))
@@ -144,10 +143,10 @@ def pair_sides(trajs: Sequence, ego, other, rev, params: CostParams, r_in: float
     return np.array([gap, val])
 
 
-def speed_sums(trajs: Sequence, params: CostParams) -> np.ndarray:
-    """Discounted speed cost of every strategy of every rollout bundle: ``(R, S)``.  A row
-    depends on its bundle alone, so one call prices a step's rollouts for all its games."""
-    v, stat = np.array([t.v for t in trajs]), np.array([t.status for t in trajs])
+def speed_sums(table, params: CostParams) -> np.ndarray:
+    """Discounted speed cost of every strategy of every row of a rollout table: ``(R, S)``.  A
+    row depends on its rollout alone, so one call prices a step's rollouts for all its games."""
+    v, stat = table.v, table.status
     dv2 = (params.v_l - v) ** 2
     speed = np.where(v > params.v_l, params.C_o * dv2,
                      np.where(stat == int(Status.ENTER), params.C_en * dv2,

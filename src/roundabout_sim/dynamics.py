@@ -19,9 +19,9 @@ exceeds it again.  Because centre distance is monotone along each block of
 every path built here, this hysteresis rule is equivalent to switching at the
 two crossing arclens.  ``advance_status`` applies it to a code or an array.
 
-``rollout`` takes a batch of requests (a simulation step's worth) and
-advances every strategy of every request at once, one array pass per horizon
-stage; then it maps all later stage arclens to poses with a single
+``rollout`` advances every strategy of a batch of requests (a simulation
+step's worth) at once, one array pass per horizon stage, into one ``Rollout``
+table; it maps all later stage arclens to poses with a single
 ``NavigationPath.pose_batch`` call over the batch's distinct paths.  Stage 0
 comes from the scalar ``pose``, as in ``step``; later stages stay on
 ``pose_batch`` because numpy's ``arctan2`` and ``hypot`` differ from libm's
@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -117,11 +117,12 @@ def step(x: Configuration, a: float, delta: float, path: NavigationPath,
 
 @dataclass
 class Rollout:
-    """States of one vehicle under every candidate strategy.
+    """States of a batch of vehicles under every candidate strategy.
 
-    All arrays are ``(n_strategies, horizon)``; column ``tau`` is the state
-    at stage ``tau``, so column 0 repeats the shared start state and column
-    1 is the first state the strategy's acceleration produces.
+    All arrays are ``(request, strategy, stage)``, so stage 0 repeats each
+    shared start state and stage 1 is the first state a strategy produces.
+    Indexing selects requests: an int gives one vehicle's arrays, a list a
+    smaller table.
     """
 
     theta: np.ndarray
@@ -129,22 +130,21 @@ class Rollout:
     v: np.ndarray
     status: np.ndarray  # int8 Status codes
 
+    def __getitem__(self, rows):
+        return Rollout(self.theta[rows], self.rho[rows], self.v[rows], self.status[rows])
+
 
 def rollout(requests: Sequence[tuple], accels: Sequence[float], horizon: int, delta: float,
-            diameter: float = VEHICLE_DIAMETER) -> List[Rollout]:
-    """``step`` over every strategy of every request: same kernel, same hysteresis.
+            diameter: float = VEHICLE_DIAMETER) -> Rollout:
+    """``step`` over every strategy of a non-empty batch: same kernel, same hysteresis.
 
-    Each request ``(path, arclen0, v0, status0)`` gets one ``Rollout``, in
-    request order.  Strategy ``i`` applies the first-stage acceleration
-    ``accels[i]`` at stage 0 and coasts for the remaining ``horizon - 2``
-    steps; that is the whole strategy space, as only the first stage is ever
-    executed.  Kinematics and status run on ``(request, strategy)`` arrays,
-    one pass per stage.  Stage 0 comes from scalar ``pose``; the later stage
-    arclens of the whole batch go through one ``pose_batch`` call (see the
-    module docstring for why).
+    Each request ``(path, arclen0, v0, status0)`` gets one row of the returned
+    table, in request order.  Strategy ``i`` applies the first-stage
+    acceleration ``accels[i]`` at stage 0 and coasts for the remaining
+    ``horizon - 2`` steps; that is the whole strategy space, as only the first
+    stage is ever executed.  Kinematics and status run on ``(request,
+    strategy)`` arrays, one pass per stage; poses as the module docstring says.
     """
-    if not requests:
-        return []
     paths = {}
     which = np.array([paths.setdefault(path, len(paths)) for path, *_ in requests])
     arc, v, rho, theta = np.empty((4, len(requests), len(accels), horizon))
@@ -163,5 +163,4 @@ def rollout(requests: Sequence[tuple], accels: Sequence[float], horizon: int, de
     thr = np.array([path.r_in + diameter for path, *_ in requests])[:, None]
     for tau in range(1, horizon):
         status[:, :, tau] = advance_status(status[:, :, tau - 1], rho[:, :, tau], thr)
-    return [Rollout(theta=theta[k], rho=rho[k], v=v[k], status=status[k])
-            for k in range(len(requests))]
+    return Rollout(theta=theta, rho=rho, v=v, status=status)

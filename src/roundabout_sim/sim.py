@@ -2,13 +2,13 @@
 
 Synchronous stepping over the same pre-move world, in three passes: every
 negotiating vehicle observes and updates its estimates; one
-``agent.prepare_step`` rolls out every game's players, reusing last step's
-rollouts, and prices all their ordered pairs in one call; every vehicle
-commits an acceleration.  Then all vehicles move together.  Vehicles
-negotiate only while entering or inside:
-once a vehicle has left the occupancy disc on its exit leg it stops taking
-part — it is invisible to the others, runs no game, simply speeds back up
-toward the limit, and no longer counts toward collision or proximity
+``agent.prepare_step`` rolls out the step's games' distinct players in one
+table and prices their speed and ordered pairs, one call each (skipped on a
+step where no vehicle negotiates); every vehicle commits an acceleration.
+Then all vehicles move together.  Vehicles negotiate only while entering or
+inside: once a vehicle has left the occupancy disc on its exit leg it stops
+taking part — it is invisible to the others, runs no game, simply speeds back
+up toward the limit, and no longer counts toward collision or proximity
 metrics.  It despawns once it has put a removal margin between itself and
 the disc.  A run ends on the first collision between active vehicles
 (centre distance below one vehicle diameter), when every vehicle has left,
@@ -41,6 +41,7 @@ __all__ = [
     "TraceRow",
     "RunResult",
     "init_scenario",
+    "max_vehicles",
     "min_pairwise",
     "run_simulation",
 ]
@@ -115,6 +116,11 @@ class RunResult:
     delta: float
 
 
+def max_vehicles(ways: int) -> int:
+    """Most vehicles a ``ways``-arm roundabout spawns: a lead and a trail slot per arm."""
+    return 2 * ways
+
+
 def init_scenario(n_vehicles: int, geometry: Geometry, seed: int,
                   sim_params: SimParams, cost_params: CostParams,
                   ) -> Tuple[Dict[int, Vehicle], Dict[int, AgentState]]:
@@ -122,12 +128,12 @@ def init_scenario(n_vehicles: int, geometry: Geometry, seed: int,
 
     Each arm holds at most two queued vehicles (a lead slot one spacing into
     the lane and a trail slot at the lane start), capping the scenario at
-    twice the number of arms.
+    ``max_vehicles``.
     """
     ways = geometry.spec.ways
-    if not 1 <= n_vehicles <= 2 * ways:
+    if not 1 <= n_vehicles <= max_vehicles(ways):
         raise ValueError(
-            f"n_vehicles must be in [1, {2 * ways}] for a {ways}-way roundabout")
+            f"n_vehicles must be in [1, {max_vehicles(ways)}] for a {ways}-way roundabout")
     children = np.random.SeedSequence(seed).spawn(n_vehicles + 1)
     rng = np.random.default_rng(children[0])
     maneuvers = list(Maneuver)
@@ -196,7 +202,6 @@ def run_simulation(n_vehicles: int, seed: int, geometry: Geometry,
     rows: List[TraceRow] = []
     collision = None
     min_distance, _ = min_pairwise([(v.config.r, v.config.theta) for v in vehicles.values()])
-    prep = None
     t = 0
     while t < sim_params.max_steps:
         live = {vid: v for vid, v in vehicles.items() if not v.removed}
@@ -208,8 +213,8 @@ def run_simulation(n_vehicles: int, seed: int, geometry: Geometry,
                 update_estimates(agents[vid], obs, geometry, cost_params, agent_params,
                                  sim_params.delta)
         prep = prepare_step([(agents[vid], obs, live[vid].path) for vid, obs in views.items()],
-                            prep, cost_params, game_params, agent_params, sim_params.delta,
-                            geometry.r_in, diameter)
+                            cost_params, game_params, agent_params, sim_params.delta,
+                            geometry.r_in, diameter) if views else None
         now: List[TraceRow] = []
         for vid in sorted(live):
             cfg = configs[vid]
@@ -219,9 +224,8 @@ def run_simulation(n_vehicles: int, seed: int, geometry: Geometry,
                                       game_params.strategy_accels)
                 est, override, pred = {}, False, {}
             else:
-                d = decide(agents[vid], views[vid], live[vid].path, geometry,
-                           cost_params, game_params, agent_params,
-                           sim_params.delta, prep, diameter)
+                d = decide(agents[vid], views[vid], prep, cost_params, game_params,
+                           agent_params, sim_params.delta, diameter)
                 accel, est, override = d.accel, d.weights, d.override
                 pred = {j: float(game_params.strategy_accels[d.profile[j]])
                         for j in d.profile if j != vid}

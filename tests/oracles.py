@@ -8,6 +8,8 @@ arrays broadcast into joint space for ``payoff_tensors``, and one
 equilibrium per candidate weight for the estimator.  The production code must
 agree with them bit for bit.  ``SequentialGame`` and ``solve`` walk the game
 tree through a payoff callable, an independent check of the tensor solver.
+``decide_alone`` and ``pairs_with_reverse`` drive the package's step API one
+decision or one game at a time.
 
 The scalar stage costs (``phi_front``, ``phi_back``, ``phi_safe``,
 ``phi_speed``, ``step_cost``) and neighbour selection (``front_back``) are
@@ -21,7 +23,8 @@ from typing import Callable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from roundabout_sim.cost import CostParams, horizon_weights
+from roundabout_sim.agent import decide, prepare_step
+from roundabout_sim.cost import CostParams, horizon_weights, pair_order
 from roundabout_sim.dynamics import VEHICLE_DIAMETER, Configuration, advance_status
 from roundabout_sim.game import DEFAULT_ACCELS, order_players
 from roundabout_sim.geometry import (
@@ -485,7 +488,8 @@ def reference_payoff_tensors(trajs, w, params, r_in):
 def reference_reestimate(state, j, obs_j, cost_params, agent_params, delta, r_in):
     """The estimator's weight fit on the frozen game: one equilibrium per weight."""
     ids = sorted((state.vid, j))
-    rolls = state.rolls
+    keys, slots, _ = state.prep.games[state.vid]  # the game's rows of the step, by id
+    rolls = {vid: state.prep.table[slots[list(keys).index(vid)]] for vid in ids}
     _, safe, speed = reference_payoff_tensors([rolls[v] for v in ids], [0.0, 0.0],
                                               cost_params, r_in)
     axis_of = {vid: k for k, vid in enumerate(ids)}
@@ -508,3 +512,20 @@ def reference_reestimate(state, j, obs_j, cost_params, agent_params, delta, r_in
         if best is None or key < best[0]:
             best = (key, w)
     return best[1]
+
+
+# --- the step API driven one decision or one game at a time ----------------
+
+def decide_alone(state, obs, ego_path, geometry, cost_params, game_params, agent_params,
+                 delta, diameter=VEHICLE_DIAMETER):
+    """``decide`` on a step prepared for this one view (``update_estimates`` ran on ``obs``)."""
+    prep = prepare_step([(state, obs, ego_path)], cost_params, game_params, agent_params,
+                        delta, geometry.r_in, diameter)
+    return decide(state, obs, prep, cost_params, game_params, agent_params, delta, diameter)
+
+
+def pairs_with_reverse(K):
+    """``pair_order(K)`` and each pair's reverse: a game's ``ego, other, rev`` for ``pair_sides``."""
+    ego, other = pair_order(K)
+    pairs = list(zip(ego, other))
+    return ego, other, [pairs.index((q, p)) for p, q in pairs]

@@ -13,8 +13,8 @@ import time
 import numpy as np
 import pytest
 
-from oracles import beta, phi_back, phi_front, phi_safe, phi_speed, step_cost
-from roundabout_sim.agent import AgentParams, AgentState, decide, observe, update_estimates
+from oracles import beta, decide_alone, phi_back, phi_front, phi_safe, phi_speed, step_cost
+from roundabout_sim.agent import AgentParams, AgentState, observe, update_estimates
 from roundabout_sim.cli import _buckets, main, run_campaign, trace_stats
 from roundabout_sim.config import ExperimentConfig
 from roundabout_sim.cost import CostParams, horizon_weights
@@ -155,7 +155,7 @@ def run_estimator_fixture(w_star, seed, steps=20):
         for vid, state in ((0, obs_state), (1, act_state)):
             obs = observe(vid, cfgs, g, P)
             update_estimates(state, obs, g, P, AP, DELTA)
-            accel[vid] = decide(state, obs, circle, g, P, GP, AP, DELTA).accel
+            accel[vid] = decide_alone(state, obs, circle, g, P, GP, AP, DELTA).accel
         for vid in (0, 1):
             cfgs[vid] = step(cfgs[vid], accel[vid], DELTA, circle, DIAMETER)
     return obs_state.w_hat.get(1, 0.5)

@@ -6,17 +6,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import reference_nearest_entry, reference_reestimate
+from oracles import decide_alone, pairs_with_reverse, reference_nearest_entry, reference_reestimate
 from roundabout_sim import agent, sim
 from roundabout_sim.agent import (
     AgentParams,
     AgentState,
-    decide,
+    StepPrep,
     estimate_path,
     observe,
     update_estimates,
 )
-from roundabout_sim.cost import CostParams, pair_order, pair_sides, speed_sums
+from roundabout_sim.cost import CostParams, pair_sides, speed_sums
 from roundabout_sim.dynamics import Configuration, rollout
 from roundabout_sim.game import GameParams
 from roundabout_sim.geometry import (
@@ -160,7 +160,7 @@ class TestUpdateEstimates:
         circle = geom.circle
         obs0 = {0: on_circle(0.0, arclen=0.0), 1: on_circle(0.5, v=4.0)}
         update_estimates(state, obs0, geom, P, AP, DELTA)
-        decide(state, obs0, circle, geom, P, GP, AP, DELTA)
+        decide_alone(state, obs0, circle, geom, P, GP, AP, DELTA)
         # neighbour shows up somewhere else entirely, moving faster
         obs1 = {0: on_circle(0.05, arclen=1.0), 1: on_circle(0.8, v=9.0)}
         update_estimates(state, obs1, geom, P, AP, DELTA)
@@ -187,7 +187,7 @@ class TestReestimateOracle:
                                 v=float(rng.uniform(0.0, 12.0)))}
             update_estimates(state, obs, geom, P, ap, DELTA)
             state.w_hat[j] = w_j
-            decide(state, obs, circle, geom, P, GP, ap, DELTA)
+            decide_alone(state, obs, circle, geom, P, GP, ap, DELTA)
             seen = obs[j]
             for v_now in (0.0, seen.v - 2.5, seen.v, seen.v + 0.5, seen.v + 7.5):
                 now = on_circle(seen.theta, v=max(v_now, 0.0))
@@ -223,15 +223,17 @@ class TestReestimateOracle:
 
         def checked(state, j, obs_j, cost_params, agent_params, delta):
             got = batched(state, j, obs_j, cost_params, agent_params, delta)
+            keys, slots, _ = state.prep.games[state.vid]
             ids = sorted((state.vid, j))
-            trajs = [state.rolls[v] for v in ids]
-            fresh = replace(state, rolls={v: state.rolls[v] for v in ids},
-                            speed=speed_sums(trajs, cost_params),
-                            sides=pair_sides(trajs, *pair_order(2), cost_params, geom.r_in))
-            assert got == batched(fresh, j, obs_j, cost_params, agent_params, delta)
+            two = state.prep.table[[slots[list(keys).index(v)] for v in ids]]
+            alone = StepPrep(two, None, {state.vid: ({v: keys[v] for v in ids}, [0, 1], [0, 1])},
+                             speed_sums(two, cost_params),
+                             pair_sides(two, *pairs_with_reverse(2), cost_params, geom.r_in))
+            assert got == batched(replace(state, prep=alone), j, obs_j, cost_params,
+                                  agent_params, delta)
             assert got == reference_reestimate(state, j, obs_j, cost_params,
                                                agent_params, delta, geom.r_in)
-            calls.append(len(state.rolls))
+            calls.append(len(keys))
             return got
 
         monkeypatch.setattr(agent, "_reestimate", checked)
@@ -240,76 +242,85 @@ class TestReestimateOracle:
 
 
 class TestFrozenGame:
-    """``state.rolls`` is the game just played; step preparation only saves work."""
+    """``state.prep`` holds the game just played; preparing the step as a whole only saves work."""
 
     def test_frozen_rollouts_equal_fresh_ones(self, geom, monkeypatch):
-        real = sim.decide
+        real_step, real_decide = sim.prepare_step, sim.decide
+        ego_paths = {}
         players = []
 
-        def checked(state, obs, ego_path, geometry, cost_params, game_params,
-                    agent_params, delta, prep, diameter):
-            d = real(state, obs, ego_path, geometry, cost_params, game_params,
-                     agent_params, delta, prep, diameter)
-            assert set(state.rolls) == set(d.profile)
-            for vid, roll in state.rolls.items():
+        def staged(views, *args):
+            ego_paths.update((state.vid, path) for state, _, path in views)
+            return real_step(views, *args)
+
+        def checked(state, obs, prep, cost_params, game_params, agent_params, delta, diameter):
+            d = real_decide(state, obs, prep, cost_params, game_params, agent_params, delta,
+                            diameter)
+            keys, slots, rows = state.prep.games[state.vid]
+            ids = sorted(d.profile)
+            assert list(keys) == ids and sorted(state.order) == ids
+            game = state.prep.table[slots]
+            # the game's row k of the step's table is player ids[k]'s rollout, rolled out alone
+            for k, vid in enumerate(ids):
                 c = obs[vid]
                 if vid == state.vid:
-                    path, s = ego_path, c.arclen
+                    path, s = ego_paths[vid], c.arclen
                 else:
                     path = state.est_path[vid]
                     s = path.project(*c.xy())[0]
                 fresh = rollout([(path, s, c.v, c.status)], game_params.strategy_accels,
-                                game_params.horizon, delta, diameter)[0]
+                                game_params.horizon, delta, diameter)
                 for name in ("theta", "rho", "v", "status"):
-                    got, want = getattr(roll, name), getattr(fresh, name)
+                    got, want = getattr(game, name)[k], getattr(fresh, name)[0]
                     assert got.dtype == want.dtype and got.shape == want.shape
                     assert got.tobytes() == want.tobytes(), (vid, name)
             # the game's rows of the step's one call of each kernel price it as if alone
-            ids = sorted(state.rolls)
-            alone = speed_sums([state.rolls[v] for v in ids], cost_params)
-            assert state.speed.shape == alone.shape
-            assert state.speed.tobytes() == alone.tobytes()
-            if len(ids) == 1:
-                assert state.sides is None
-            else:
-                alone = pair_sides([state.rolls[v] for v in ids], *pair_order(len(ids)),
-                                   cost_params, geometry.r_in)
-                assert state.sides.shape == alone.shape
-                assert state.sides.tobytes() == alone.tobytes()
-            players.append(len(state.rolls))
+            speed, alone = state.prep.speed[slots], speed_sums(game, cost_params)
+            assert speed.shape == alone.shape and speed.tobytes() == alone.tobytes()
+            sides = state.prep.sides[:, :, rows]
+            alone = pair_sides(game, *pairs_with_reverse(len(ids)), cost_params, geom.r_in)
+            assert sides.shape == alone.shape  # no pair rows for one player
+            assert sides.tobytes() == alone.tobytes()
+            players.append(len(ids))
             return d
 
+        monkeypatch.setattr(sim, "prepare_step", staged)
         monkeypatch.setattr(sim, "decide", checked)
         run_simulation(6, 11, geom, P, GP, AP, SimParams())
-        assert len(players) > 100 and max(players) >= 3
+        assert len(players) > 100 and max(players) >= 3 and min(players) == 1
 
-    def test_memo_is_output_neutral_and_used(self, geom, monkeypatch):
+    def test_staged_step_equals_each_decision_prepared_alone(self, geom, monkeypatch):
         real_rollout, real_decide, real_step = agent.rollout, sim.decide, sim.prepare_step
-        computed = []
+        requests = []
 
-        def counting(requests, *args):
-            computed.append(len(requests))
-            return real_rollout(requests, *args)
+        def counting(batch, *args):
+            requests.append(len(batch))
+            return real_rollout(batch, *args)
 
         def runs():
-            computed.clear()
-            return [run_simulation(8, seed, geom).rows for seed in (42, 43, 44)], sum(computed)
+            requests.clear()
+            return [run_simulation(8, seed, geom).rows for seed in (42, 43, 44)], sum(requests)
 
         monkeypatch.setattr(agent, "rollout", counting)
-        shared_rows, shared_calls = runs()
-        # no reuse across steps: every step rolls out all of its keys
-        monkeypatch.setattr(sim, "prepare_step",
-                            lambda views, prev, *args: real_step(views, None, *args))
-        stepwise_rows, stepwise_calls = runs()
-        # no step preparation at all: every decision rolls out and prices its own game
-        monkeypatch.setattr(sim, "prepare_step", lambda *args: None)
-        monkeypatch.setattr(sim, "decide",
-                            lambda *args: real_decide(*args[:8], None, *args[9:]))
-        fresh_rows, fresh_calls = runs()
-        assert shared_rows == fresh_rows
-        assert stepwise_rows == fresh_rows
-        assert any(row.pred for row in shared_rows[0])
-        assert shared_calls < stepwise_calls < fresh_calls
+        staged_rows, staged_requests = runs()
+        # every decision rolls out and prices its own game, prepared for its view alone
+        monkeypatch.setattr(sim, "prepare_step", lambda views, *args: {
+            view[0].vid: real_step([view], *args) for view in views})
+        monkeypatch.setattr(sim, "decide", lambda state, obs, prep, *args: real_decide(
+            state, obs, prep[state.vid], *args))
+        alone_rows, alone_requests = runs()
+        assert staged_rows == alone_rows
+        assert any(row.pred for row in staged_rows[0])
+        assert staged_requests < alone_requests
+
+
+def negotiating_steps(seeds, geom):
+    """Steps with a vehicle entering or inside, over n=8 runs of ``seeds``, and all steps."""
+    results = [run_simulation(8, seed, geom) for seed in seeds]
+    negotiating = sum(len({row.t for row in r.rows
+                           if row.accel is not None and row.status != Status.EXIT})
+                      for r in results)
+    return negotiating, sum(r.n_steps for r in results)
 
 
 class TestStagedStep:
@@ -336,8 +347,9 @@ class TestStagedStep:
         monkeypatch.setattr(agent, "rollout", counting)
         monkeypatch.setattr(NavigationPath, "pose_batch", pose_batch)
         monkeypatch.setattr(sim, "prepare_step", staged)
-        steps = sum(run_simulation(8, seed, geom).n_steps for seed in (42, 43, 44))
-        assert len(per_step) == steps and max(per_step) == 1
+        steps, all_steps = negotiating_steps((42, 43, 44), geom)
+        assert steps < all_steps  # a step where nobody negotiates prepares nothing
+        assert len(per_step) == steps and set(per_step) == {1}
         assert sum(per_step) == len(posed)  # decisions roll nothing out themselves
         assert all(len(calls) == 1 and len(calls[0]) == len(set(calls[0])) for calls in posed)
         assert max(len(calls[0]) for calls in posed) > 1  # one call serves several paths
@@ -390,8 +402,8 @@ class TestStagedStep:
                             within("decide", real_decide, lambda d: len(d.profile)))
         monkeypatch.setattr(agent, "_reestimate",
                             within("reestimate", real_reestimate, lambda w: 2))
-        steps = sum(run_simulation(8, seed, geom).n_steps for seed in (42, 43, 44))
-        assert len(per_step) == steps and max(per_step) == 1
+        steps, _ = negotiating_steps((42, 43, 44), geom)
+        assert len(per_step) == steps and set(per_step) == {1}
         assert set(kernel) == {"prepare"}  # none under update_estimates or decide
         assert speed_passes == ["prepare"] * steps
         assert {p for p, _ in priced} == {"decide", "reestimate"}
@@ -408,7 +420,7 @@ class TestDecide:
         state = fresh_state(vid=3)
         obs = {3: on_circle(2.0, v=1.0, arclen=40.0)}
         update_estimates(state, obs, geom, P, AP, DELTA)
-        d = decide(state, obs, geom.circle, geom, P, GP, AP, DELTA)
+        d = decide_alone(state, obs, geom.circle, geom, P, GP, AP, DELTA)
         assert d.accel == 30.0
         assert not d.override
         assert state.order == (3,)
@@ -421,8 +433,8 @@ class TestDecide:
         for _ in range(2):
             state = fresh_state(vid=0, seed=7)
             update_estimates(state, obs, geom, P, AP, DELTA)
-            results.append(decide(state, dict(obs), geom.circle,
-                                  geom, P, GP, AP, DELTA))
+            results.append(decide_alone(state, dict(obs), geom.circle,
+                                        geom, P, GP, AP, DELTA))
         assert results[0] == results[1]
 
     def test_player_cap_keeps_angular_nearest(self, geom):
@@ -431,7 +443,7 @@ class TestDecide:
                4: on_circle(6.0)}
         state = fresh_state(vid=0)
         update_estimates(state, obs, geom, P, AP, DELTA)
-        d = decide(state, obs, geom.circle, geom, P, GP, AP, DELTA)
+        d = decide_alone(state, obs, geom.circle, geom, P, GP, AP, DELTA)
         # cap 4: ego + gaps 0.2, 0.28 (ccw 6.0), 0.5; vehicle 3 is trimmed
         assert sorted(d.weights) == [0, 1, 2, 4]
         assert sorted(d.profile) == [0, 1, 2, 4]
@@ -441,7 +453,7 @@ class TestDecide:
         obs = {0: on_circle(0.0, arclen=10.0), 1: on_circle(0.4)}
         update_estimates(state, obs, geom, P, AP, DELTA)
         state.w_hat[1] = 0.2
-        d = decide(state, obs, geom.circle, geom, P, GP, AP, DELTA)
+        d = decide_alone(state, obs, geom.circle, geom, P, GP, AP, DELTA)
         assert d.weights == {0: 0.7, 1: 0.2}
         assert state.order == (0, 1)  # higher weight decides first
 
@@ -449,9 +461,11 @@ class TestDecide:
         state = fresh_state(vid=0)
         obs = {0: on_circle(0.0, v=6.0, arclen=10.0), 1: on_circle(0.4, v=3.0)}
         update_estimates(state, obs, geom, P, AP, DELTA)
-        decide(state, obs, geom.circle, geom, P, GP, AP, DELTA)
-        assert state.rolls[0].v[0, 0] == 6.0 and state.rolls[1].v[0, 0] == 3.0
-        assert set(state.rolls) == {0, 1}
+        decide_alone(state, obs, geom.circle, geom, P, GP, AP, DELTA)
+        # the game's rows of the step's table, in id order
+        keys, slots, _ = state.prep.games[0]
+        game = state.prep.table[slots]
+        assert list(keys) == [0, 1] and game.v[0, 0, 0] == 6.0 and game.v[1, 0, 0] == 3.0
         assert set(state.pred_xy) == {1}
         assert sorted(state.order) == [0, 1]
 
@@ -468,7 +482,7 @@ class TestDeadlockOverride:
             twin = np.random.default_rng(seed)
             obs = self.stopped_obs()
             update_estimates(state, obs, geom, P, AP, DELTA)
-            d = decide(state, obs, geom.circle, geom, P, GP, AP, DELTA)
+            d = decide_alone(state, obs, geom.circle, geom, P, GP, AP, DELTA)
             assert d.override == (twin.random() < AP.deadlock_prob)
             if d.override:
                 assert d.accel == AP.deadlock_accel
@@ -482,7 +496,7 @@ class TestDeadlockOverride:
         obs = self.stopped_obs(ego_status=Status.ENTER)
         update_estimates(state, obs, geom, P, AP, DELTA)
         path = geom.paths[PathKind(Maneuver.GO_STRAIGHT, 0)]
-        d = decide(state, obs, path, geom, P, GP, AP, DELTA)
+        d = decide_alone(state, obs, path, geom, P, GP, AP, DELTA)
         assert not d.override
         # the draw still happened, keeping streams aligned across branches
         assert state.rng.random() == np.random.default_rng(2).random(2)[1]
@@ -492,5 +506,5 @@ class TestDeadlockOverride:
         obs = self.stopped_obs()
         obs[1] = Configuration(r=20.0, theta=0.4, v=2.0, status=Status.INSIDE)
         update_estimates(state, obs, geom, P, AP, DELTA)
-        decide(state, obs, geom.circle, geom, P, GP, AP, DELTA)
+        decide_alone(state, obs, geom.circle, geom, P, GP, AP, DELTA)
         assert state.rng.random() == np.random.default_rng(2).random()

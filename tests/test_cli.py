@@ -175,3 +175,13 @@ class TestMain:
         cfg.write_text("[cost]\nlambda = 1.5\n")
         assert main(["--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
         assert "lam must be in (0, 1)" in capsys.readouterr().err
+
+    def test_campaign_row_the_ring_cannot_hold_stops_before_any_run(
+            self, tmp_path, capsys, monkeypatch):
+        cfg = tmp_path / "crowded.cfg"
+        cfg.write_text("campaign = 4 x 2\ncampaign = 9 x 2\n")
+        monkeypatch.setattr(cli, "run_simulation", lambda *args: pytest.fail("a run started"))
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "r"), "--jobs", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "line 2: campaign row 9 x 2" in err and "Traceback" not in err
+        assert not (tmp_path / "r").exists()

@@ -103,6 +103,21 @@ class TestErrors:
         with pytest.raises(ConfigError, match="ways"):
             parse_config("[geometry]\nways = 2\n")
 
+    def test_campaign_row_beyond_the_spawn_slots_is_named(self):
+        # two spawn slots per arm: 8 on the default 4-way ring, 6 on a 3-way
+        # one, whose ways may be set after the row; and at least one vehicle
+        assert parse_config("campaign = 8 x 2\n").campaign == (CampaignRow(8, 2),)
+        with pytest.raises(ConfigError, match="line 2: campaign row 9 x 2 needs 1 to 8 "
+                                              "vehicles on a 4-way roundabout"):
+            parse_config("campaign = 4 x 2\ncampaign = 9 x 2\n")
+        with pytest.raises(ConfigError, match="line 1: campaign row 0 x 5 needs 1 to 8"):
+            parse_config("campaign = 0 x 5\n")
+        text = "campaign = 7 x 1 seed 3\n[geometry]\nways = 3\n"
+        with pytest.raises(ConfigError, match="line 1: campaign row 7 x 1 needs 1 to 6 "
+                                              "vehicles on a 3-way roundabout"):
+            parse_config(text)
+        assert parse_config(text.replace("7 x", "6 x")).campaign == (CampaignRow(6, 1, 3),)
+
 
 class TestSeedResolution:
     def test_flag_beats_env_beats_config(self):

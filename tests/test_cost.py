@@ -12,6 +12,7 @@ from oracles import (
     build_strategies,
     front_back,
     pair_distance,
+    pairs_with_reverse,
     phi_back,
     phi_front,
     phi_safe,
@@ -39,10 +40,18 @@ def geom():
     return build_roundabout(RoundaboutSpec())
 
 
+def stack(trajs):
+    """One rollout table whose rows are ``trajs``, each one vehicle's ``(S, h)`` rollout."""
+    return Rollout(*(np.stack([getattr(t, name) for t in trajs])
+                     for name in ("theta", "rho", "v", "status")))
+
+
 def priced(trajs, w, params, r_in):
     """``payoff_tensors`` of one game, its speed rows and pairs priced by the package's kernels."""
-    return payoff_tensors(speed_sums(trajs, params), w,
-                          pair_sides(trajs, *pair_order(len(trajs)), params, r_in), params)
+    table = stack(trajs)
+    return payoff_tensors(speed_sums(table, params), w,
+                          pair_sides(table, *pairs_with_reverse(len(trajs)), params, r_in),
+                          params)
 
 
 def cfg(r=20.0, theta=0.0, v=8.0, status=Status.INSIDE, arclen=None):
@@ -376,18 +385,16 @@ class TestPayoffTensorsBitIdentity:
 
     def test_unequal_alphabets_rejected(self, geom):
         # speed rows and pair rows of two alphabets cannot make one game, and
-        # neither kernel prices bundles of two alphabets together
+        # one rollout table, which both kernels read, cannot hold two alphabets
         requests = [(geom.circle, 0.0, 5.0, Status.INSIDE), (geom.circle, 9.0, 5.0, Status.INSIDE)]
         five = rollout(requests, DEFAULT_ACCELS, 4, 0.25)
         three = rollout(requests, (-10.0, 0.0, 10.0), 4, 0.25)
         for a, b in ((five, three), (three, five)):
             with pytest.raises(ValueError):
                 payoff_tensors(speed_sums(a, P), [0.5, 0.5],
-                               pair_sides(b, *pair_order(2), P, geom.r_in), P)
+                               pair_sides(b, *pairs_with_reverse(2), P, geom.r_in), P)
         with pytest.raises(ValueError):
-            speed_sums([five[0], three[1]], P)
-        with pytest.raises(ValueError):
-            pair_sides([five[0], three[1]], *pair_order(2), P, geom.r_in)
+            stack([five[0], three[1]])
 
 
 class TestStepPairKernel:
@@ -407,19 +414,19 @@ class TestStepPairKernel:
             games = [rng.choice(keys, size=K, replace=False).tolist()
                      for K in rng.integers(2, 5, size=rng.integers(1, 9))]
             pairs = list({(g[p], g[q]): None for g in games
-                          for p, q in zip(*pair_order(len(g))[:2])})
+                          for p, q in zip(*pair_order(len(g)))})
             pairs = [pairs[k] for k in rng.permutation(len(pairs))]
             row = {pair: n for n, pair in enumerate(pairs)}
             slot = {key: k for k, key in enumerate(rng.permutation(keys).tolist())}
-            sides = pair_sides([pool[key] for key in slot], [slot[p] for p, _ in pairs],
+            sides = pair_sides(stack([pool[key] for key in slot]), [slot[p] for p, _ in pairs],
                                [slot[q] for _, q in pairs], [row[q, p] for p, q in pairs],
                                params, geom.r_in)
             assert sides.shape == (2, 2, len(pairs), 5, 5, horizon)
             for g in games:
-                ego, other, _ = pair_order(len(g))
+                ego, other = pair_order(len(g))
                 got = sides[:, :, [row[g[p], g[q]] for p, q in zip(ego, other)]]
-                alone = pair_sides([pool[key] for key in g], *pair_order(len(g)), params,
-                                   geom.r_in)
+                alone = pair_sides(stack([pool[key] for key in g]), *pairs_with_reverse(len(g)),
+                                   params, geom.r_in)
                 assert got.shape == alone.shape
                 assert got.tobytes() == alone.tobytes()
                 games_checked += 1
@@ -431,7 +438,7 @@ class TestStepPairKernel:
         pool = rollout_pool(geom, horizon)
         rng = np.random.default_rng(50 + horizon)
         picks = rng.integers(0, len(pool), size=2 * len(pool))
-        rows = speed_sums([pool[k] for k in picks], P)
+        rows = speed_sums(stack([pool[k] for k in picks]), P)
         assert rows.shape == (len(picks), 5)
         for row, k in zip(rows, picks):
-            assert row.tobytes() == speed_sums([pool[k]], P)[0].tobytes()
+            assert row.tobytes() == speed_sums(stack([pool[k]]), P)[0].tobytes()
