@@ -12,7 +12,7 @@ import argparse
 import os
 import sys
 
-from roundabout_sim.cli import summarize, write_summary_csv, write_summary_json
+from roundabout_sim.cli import format_row, summarize, write_summary_csv, write_summary_json
 from roundabout_sim.dynamics import VEHICLE_DIAMETER
 
 
@@ -27,11 +27,7 @@ def main(argv=None):
 
     report = summarize(args.traces, diameter=args.diameter)
     for row in report.rows:
-        print(f"n={row.n_vehicles}: {row.runs} runs, {row.collisions} collisions "
-              f"({row.collision_rate_pct:.1f}%), "
-              f"avg min distance {row.avg_min_distance_m:.2f} m, "
-              f"avg mission time {row.avg_mission_time_s:.2f} s, "
-              f"{row.censored_runs} censored")
+        print(format_row(row))
     print("min-distance medians by aggressiveness bucket:")
     for b in report.buckets_min_distance:
         med = "-" if b.median is None else f"{b.median:.2f} m"

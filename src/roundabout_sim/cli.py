@@ -3,8 +3,9 @@
 ``roundabout-sim`` runs the configured campaign (default: 4..8 vehicles,
 200 runs each), writes ``summary.csv`` and ``summary.json`` under the
 output directory, and with ``--traces`` one CSV per run under
-``traces/n<k>/``.  :func:`summarize` rebuilds the same report from a trace
-directory alone, so results can be re-analysed without re-simulation.
+``traces/n<k>/``.  Report facts come from trace rows alone (:func:`_row_stats`),
+so :func:`summarize` rebuilds the campaign's report from a trace directory; it
+needs a non-default ``vehicle_diameter`` passed, as traces do not record it.
 
 Trace rows are ``(t, id, r, theta, v, status, accel,
 est_agg_of_each_neighbour, override_flag)`` with ``t`` in simulated
@@ -108,23 +109,48 @@ def _mean(xs: Sequence[float]) -> float:
     return math.fsum(xs) / len(xs)
 
 
-def run_stats(result: RunResult) -> RunStats:
-    mission = None
-    if result.collision is None and all(
-            s is not None for s in result.mission_steps.values()):
-        secs = [result.mission_steps[vid] * result.delta
-                for vid in sorted(result.mission_steps)]
-        mission = _mean(secs) if secs else None
-    avg_w = None
-    if result.true_w:
-        avg_w = _mean([result.true_w[vid] for vid in sorted(result.true_w)])
+def _row_stats(rows: Iterable[Tuple[float, int, float, float, str]],
+               own_w: Dict[int, float], diameter: float) -> RunStats:
+    """One run's facts from its trace rows ``(t [s], vid, r, theta, status name)``.
+
+    Minimum distance is taken over vehicles that have not yet exited, a step
+    minimum under ``diameter`` means the run collided, a vehicle's mission
+    time is the timestamp of its first ``exit`` row, and a run whose rows end
+    with someone still inside (and no collision) was censored at the step cap.
+    """
+    by_t: Dict[float, list] = {}
+    first_exit: Dict[int, float] = {}
+    last_status: Dict[int, str] = {}
+    for t, vid, r, theta, status in rows:
+        by_t.setdefault(t, []).append((vid, r, theta, status))
+        last_status[vid] = status
+        if status == "exit" and vid not in first_exit:
+            first_exit[vid] = t
+    min_distance = math.inf
+    for t in sorted(by_t):
+        dmin, _ = min_pairwise([(r, th) for _, r, th, status in sorted(by_t[t])
+                                if status != "exit"])
+        min_distance = min(min_distance, dmin)
+        if min_distance < diameter:
+            break
+    collided = min_distance < diameter
+    vids = sorted(last_status)
+    finished = all(last_status[vid] == "exit" for vid in vids)
     return RunStats(
-        collided=result.collision is not None,
-        censored=result.censored,
-        min_distance=result.min_distance,
-        mission_mean_s=mission,
-        avg_w=avg_w,
+        collided=collided,
+        censored=not collided and not finished,
+        min_distance=min_distance,
+        mission_mean_s=(_mean([first_exit[vid] for vid in vids])
+                        if finished and not collided else None),
+        avg_w=_mean([own_w[vid] for vid in vids]),
     )
+
+
+def run_stats(result: RunResult) -> RunStats:
+    """One run's facts from its rows, exactly as :func:`trace_stats` reads them back."""
+    return _row_stats(((row.t * result.delta, row.vid, row.r, row.theta,
+                        row.status.name.lower()) for row in result.rows),
+                      result.true_w, result.diameter)
 
 
 # ---------------------------------------------------------------------------
@@ -158,21 +184,12 @@ class TraceFormatError(ValueError):
 
 
 def trace_stats(path: str, diameter: float = VEHICLE_DIAMETER) -> RunStats:
-    """Recompute one run's stats from its trace file alone.
-
-    Mirrors the simulator's bookkeeping: minimum distance is taken over
-    vehicles that have not yet exited, a step minimum under ``diameter``
-    means the run collided, a vehicle's mission time is the timestamp of
-    its first ``exit`` row, and a run whose trace ends with someone still
-    inside (and no collision) was censored at the step cap.
-    """
+    """One run's stats from its trace file alone, by :func:`_row_stats`."""
     name = os.path.basename(path)
     if _TRACE_NAME.match(name) is None:
         raise TraceFormatError(f"{name}: trace files are named run_<seed>.csv")
 
-    by_t: Dict[float, list] = {}
-    first_exit: Dict[int, float] = {}
-    last_status: Dict[int, str] = {}
+    rows = []
     self_w: Dict[int, float] = {}
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -183,12 +200,8 @@ def trace_stats(path: str, diameter: float = VEHICLE_DIAMETER) -> RunStats:
             for rec in reader:
                 if len(rec) != len(TRACE_COLUMNS):
                     raise TraceFormatError(f"{name}: short row {rec!r}")
-                t, vid = float(rec[0]), int(rec[1])
-                r, theta, status = float(rec[2]), float(rec[3]), rec[5]
-                by_t.setdefault(t, []).append((vid, r, theta, status))
-                last_status[vid] = status
-                if status == "exit" and vid not in first_exit:
-                    first_exit[vid] = t
+                vid = int(rec[1])
+                rows.append((float(rec[0]), vid, float(rec[2]), float(rec[3]), rec[5]))
                 if vid not in self_w and rec[7]:
                     for pair in rec[7].split(";"):
                         k, _, v = pair.partition("=")
@@ -199,32 +212,11 @@ def trace_stats(path: str, diameter: float = VEHICLE_DIAMETER) -> RunStats:
         if isinstance(exc, TraceFormatError):
             raise
         raise TraceFormatError(f"{name}: {exc}")
-    vids = sorted(last_status)
-    if not vids:
+    if not rows:
         raise TraceFormatError(f"{name}: no data rows")
-    if any(vid not in self_w for vid in vids):
+    if any(row[1] not in self_w for row in rows):
         raise TraceFormatError(f"{name}: a vehicle never lists its own weight")
-    min_distance = math.inf
-    collided = False
-    for t in sorted(by_t):
-        dmin, _ = min_pairwise([(r, th) for _, r, th, status in sorted(by_t[t])
-                                if status != "exit"])
-        min_distance = min(min_distance, dmin)
-        if min_distance < diameter:
-            collided = True
-            break
-
-    finished = all(last_status[vid] == "exit" for vid in vids)
-    mission = None
-    if not collided and finished:
-        mission = _mean([first_exit[vid] for vid in vids])
-    return RunStats(
-        collided=collided,
-        censored=not collided and not finished,
-        min_distance=min_distance,
-        mission_mean_s=mission,
-        avg_w=_mean([self_w[vid] for vid in vids]),
-    )
+    return _row_stats(rows, self_w, diameter)
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +301,13 @@ def write_summary_csv(report: SummaryReport, path: str) -> None:
         out.writerow(SUMMARY_COLUMNS)
         for row in report.rows:
             out.writerow(tuple(_fmt(getattr(row, col)) for col in SUMMARY_COLUMNS))
+
+
+def format_row(row: SummaryRow) -> str:
+    """One report row as the command line and ``summarize_traces.py`` print it."""
+    return (f"n={row.n_vehicles}: {row.runs} runs, {row.collisions} collisions "
+            f"({row.collision_rate_pct:.1f}%), avg min distance {row.avg_min_distance_m:.2f} m, "
+            f"avg mission time {row.avg_mission_time_s:.2f} s, {row.censored_runs} censored")
 
 
 def _jsonable(x):
@@ -491,11 +490,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     for err in errors:
         print(f"error: run failed: {err}", file=sys.stderr)
     for row in report.rows:
-        print(f"n={row.n_vehicles}: {row.runs} runs, "
-              f"{row.collisions} collisions, "
-              f"avg min distance {row.avg_min_distance_m:.2f} m, "
-              f"avg mission time {row.avg_mission_time_s:.2f} s, "
-              f"{row.censored_runs} censored")
+        print(format_row(row))
     print(f"wrote {os.path.join(out_dir, 'summary.csv')} and summary.json")
     return 1 if errors else 0
 

@@ -27,10 +27,10 @@ Campaign rows live at top level (before any section header)::
 
 A row's vehicles must fit the roundabout's two spawn slots per arm
 (``sim.max_vehicles``).  Rows without an explicit seed fall back to the
-resolved base seed; with no ``campaign`` lines at all the default sweep
-(4..8 vehicles, 200 runs each) is used.  Base-seed precedence: ``--seed``
-flag, then the ``ROUNDABOUT_SIM_SEED`` environment variable, then the config
-``seed`` key, then 42.  Run *i* of a row uses ``base_seed + i``.
+resolved base seed; with no ``campaign`` lines the default sweep (4..8 vehicles
+up to ``sim.max_vehicles``, 200 runs each) is used.  Base-seed precedence:
+``--seed`` flag, then the ``ROUNDABOUT_SIM_SEED`` environment variable, then
+the config ``seed`` key, then 42.  Run *i* of a row uses ``base_seed + i``.
 """
 
 from __future__ import annotations
@@ -258,7 +258,8 @@ def resolved_campaign(config: ExperimentConfig,
     base = resolve_base_seed(config, flag_seed, env)
     rows = list(config.campaign)
     if not rows:
-        rows = [CampaignRow(n, DEFAULT_RUNS) for n in DEFAULT_VEHICLE_COUNTS]
+        cap = max_vehicles(config.spec.ways)
+        rows = [CampaignRow(n, DEFAULT_RUNS) for n in DEFAULT_VEHICLE_COUNTS if n <= cap]
     out = []
     for row in rows:
         seed = base if (flag_seed is not None or row.base_seed is None) \

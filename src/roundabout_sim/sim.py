@@ -9,10 +9,11 @@ Then all vehicles move together.  Vehicles negotiate only while entering or
 inside: once a vehicle has left the occupancy disc on its exit leg it stops
 taking part — it is invisible to the others, runs no game, simply speeds back
 up toward the limit, and no longer counts toward collision or proximity
-metrics.  It despawns once it has put a removal margin between itself and
-the disc.  A run ends on the first collision between active vehicles
-(centre distance below one vehicle diameter), when every vehicle has left,
-or at the step cap (censored).
+metrics.  It despawns after a step it began in the exit state and ended a
+removal margin past the disc, so every exit leaves an ``exit`` trace row.  A
+run ends on the first collision between active vehicles (centre distance
+under one vehicle diameter), when every vehicle has left, or at the step cap
+(censored).
 
 Scenario initialisation is reproducible: a seed sequence is split into one
 scenario stream (route kind, initial speed, and aggressiveness per vehicle,
@@ -73,7 +74,6 @@ class SimParams:
 @dataclass
 class Vehicle:
     vid: int
-    kind: PathKind
     path: NavigationPath
     w_agg: float
     config: Configuration
@@ -114,6 +114,7 @@ class RunResult:
     censored: bool
     true_w: Dict[int, float]
     delta: float
+    diameter: float
 
 
 def max_vehicles(ways: int) -> int:
@@ -141,14 +142,13 @@ def init_scenario(n_vehicles: int, geometry: Geometry, seed: int,
     agents: Dict[int, AgentState] = {}
     for i in range(n_vehicles):
         arm, slot = i % ways, i // ways
-        kind = PathKind(maneuvers[int(rng.integers(len(maneuvers)))], arm)
+        path = geometry.paths[PathKind(maneuvers[int(rng.integers(len(maneuvers)))], arm)]
         v0 = float(rng.uniform(0.0, cost_params.v_l))
         w = float(W_CHOICES[int(rng.integers(len(W_CHOICES)))])
-        path = geometry.paths[kind]
         s0 = sim_params.spawn_spacing * (1 - slot)
         rho, theta, _ = path.pose(s0)
         vehicles[i] = Vehicle(
-            vid=i, kind=kind, path=path, w_agg=w,
+            vid=i, path=path, w_agg=w,
             config=Configuration(r=rho, theta=theta, v=v0, status=Status.ENTER,
                                  arclen=s0))
         agents[i] = AgentState(vid=i, w_agg=w, rng=np.random.default_rng(children[1 + i]))
@@ -238,7 +238,7 @@ def run_simulation(n_vehicles: int, seed: int, geometry: Geometry,
             veh.config = step(veh.config, row.accel, sim_params.delta, veh.path, diameter)
             if veh.exit_step is None and veh.config.status == Status.EXIT:
                 veh.exit_step = t + 1
-            if veh.config.status == Status.EXIT and veh.config.r > removal_r:
+            if row.status == Status.EXIT and veh.config.r > removal_r:
                 veh.removed = True
         t += 1
         active = [(vid, v) for vid, v in vehicles.items()
@@ -269,4 +269,5 @@ def run_simulation(n_vehicles: int, seed: int, geometry: Geometry,
         censored=censored,
         true_w={vid: v.w_agg for vid, v in vehicles.items()},
         delta=sim_params.delta,
+        diameter=diameter,
     )

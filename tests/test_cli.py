@@ -19,6 +19,7 @@ from roundabout_sim.cli import (
     write_trace,
 )
 from roundabout_sim.config import parse_config
+from roundabout_sim.dynamics import VEHICLE_DIAMETER
 from roundabout_sim.game import GameParams
 from roundabout_sim.geometry import RoundaboutSpec, build_roundabout
 from roundabout_sim.sim import SimParams, run_simulation
@@ -36,6 +37,17 @@ class TestTraceRoundTrip:
     """write_trace -> trace_stats must agree with the simulator's own metrics."""
 
     def roundtrip(self, result, tmp_path):
+        # run_stats reads trace rows; the simulator keeps its own tally of the same facts
+        stats = run_stats(result)
+        assert stats.collided == (result.collision is not None)
+        assert stats.censored == result.censored
+        assert stats.min_distance == result.min_distance
+        if result.collision is None and not result.censored:
+            exits = [result.mission_steps[vid] * result.delta
+                     for vid in sorted(result.mission_steps)]
+            assert stats.mission_mean_s == math.fsum(exits) / len(exits)
+        else:
+            assert stats.mission_mean_s is None
         path = str(tmp_path / f"run_{result.seed:08d}.csv")
         write_trace(result, path)
         return trace_stats(path)
@@ -78,12 +90,19 @@ class TestTraceRoundTrip:
 
 
 class TestReports:
-    def test_summarize_reproduces_campaign_report(self, tmp_path):
-        cfg = parse_config(SMALL)
-        report, errors = run_campaign(cfg, str(tmp_path), traces=True, jobs=1)
+    @pytest.mark.parametrize("text, diameter, collisions", [
+        (SMALL, VEHICLE_DIAMETER, 0),
+        # a vehicle can leave the removal radius in the step it exits
+        (SMALL + "[sim]\nremoval_margin = 0.0\n", VEHICLE_DIAMETER, 0),
+        # seed 58 collides at n=6 only with the wider disc; traces need it passed back
+        (SMALL + "campaign = 6 x 2 seed 57\n[sim]\nvehicle_diameter = 6.0\n", 6.0, 1),
+    ], ids=["default", "removal_margin_0", "vehicle_diameter_6"])
+    def test_summarize_reproduces_campaign_report(self, tmp_path, text, diameter, collisions):
+        report, errors = run_campaign(parse_config(text), str(tmp_path), traces=True, jobs=1)
         assert errors == []
-        again = summarize(str(tmp_path / "traces"))
-        assert again == report
+        assert summarize(str(tmp_path / "traces"), diameter=diameter) == report
+        assert sum(row.collisions for row in report.rows) == collisions
+        assert sum(row.censored_runs for row in report.rows) == 0
 
     def test_jobs_do_not_change_results(self, tmp_path):
         cfg = parse_config(SMALL)

@@ -34,6 +34,12 @@ class TestDefaults:
         assert all(r.n_runs == DEFAULT_RUNS for r in rows)
         assert all(r.base_seed == DEFAULT_SEED for r in rows)
 
+    def test_default_sweep_clipped_to_the_spawn_slots(self):
+        # a 3-way ring holds 6 vehicles, so the default sweep stops at n=6
+        rows = resolved_campaign(parse_config("[geometry]\nways = 3\n"), env={})
+        assert [r.n_vehicles for r in rows] == [4, 5, 6]
+        assert all(r.n_runs == DEFAULT_RUNS for r in rows)
+
     def test_comments_and_blanks_ignored(self):
         cfg = parse_config("""
         # a comment

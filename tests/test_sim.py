@@ -38,7 +38,8 @@ class TestInitScenario:
 
     def test_round_robin_arms_with_spacing(self, geom):
         vehicles, _ = init_scenario(8, geom, 5, SP, CP)
-        assert [vehicles[i].kind.arm for i in range(8)] == [0, 1, 2, 3, 0, 1, 2, 3]
+        arm_of = {path: kind.arm for kind, path in geom.paths.items()}
+        assert [arm_of[vehicles[i].path] for i in range(8)] == [0, 1, 2, 3, 0, 1, 2, 3]
         # second wave spawns one spacing behind the first on the same arm
         assert vehicles[4].config.arclen == pytest.approx(
             vehicles[0].config.arclen - SP.spawn_spacing)
