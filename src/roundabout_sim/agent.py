@@ -24,6 +24,12 @@ Each vehicle runs the same loop every control step:
    (most aggressive first, by estimated weight; ego uses its true weight) and
    applying the first acceleration of its own equilibrium strategy, reading
    its game's rows of the step's one rollout table and prices (``prepare_step``).
+   The position it predicts for each neighbour is read off the same table: the
+   stage-1 pose of the neighbour's row under its equilibrium strategy.  That
+   pose comes from ``pose_batch``, so it can differ from a scalar ``step`` in
+   the last ulp (see ``dynamics``); it only meets the ``eps_dev`` threshold.
+   ``step`` stays imported and exported here although nothing here calls it,
+   because the traced benchmark wraps ``agent.step`` and needs the name.
 
 A deadlock breaker keeps the system live: when every observed vehicle
 (including ego) is at a standstill, the vehicle flips a private coin and, on
@@ -42,16 +48,17 @@ from typing import Dict, Mapping, NamedTuple, Optional
 import numpy as np
 
 from .cost import CostParams, pair_order, pair_sides, payoff_tensors, speed_sums
-from .dynamics import VEHICLE_DIAMETER, Configuration, Rollout, rollout, step
+from .dynamics import VEHICLE_DIAMETER, Configuration, Rollout, rollout
+from .dynamics import step  # unused: bench/run_bench.py --trace 1 patches agent.step
 from .game import GameParams, order_players, tensor_equilibrium
 from .geometry import TWO_PI, Geometry, NavigationPath, Status
 
 DEFAULT_W_GRID = tuple(round(0.1 * k, 1) for k in range(1, 10))
-#: ``prepare_step``'s output: ``table``, ``arclen`` and ``speed`` have a row per distinct key of
-#: the step; ``games`` maps a decider to its players' keys by id, their rows and its pairs' rows
+#: ``prepare_step``'s output: ``table`` and ``speed`` have a row per distinct key of the step;
+#: ``games`` maps a decider to its players' keys by id, their rows and its pairs' rows
 #: (``pair_order``) on axis 2 of ``sides``
-StepPrep = NamedTuple("StepPrep", [("table", Rollout), ("arclen", list), ("games", dict),
-                                   ("speed", np.ndarray), ("sides", np.ndarray)])
+StepPrep = NamedTuple("StepPrep", [("table", Rollout), ("games", dict), ("speed", np.ndarray),
+                                   ("sides", np.ndarray)])
 
 __all__ = [
     "AgentParams",
@@ -63,6 +70,7 @@ __all__ = [
     "update_estimates",
     "prepare_step",
     "decide",
+    "step",
 ]
 
 
@@ -221,7 +229,8 @@ def prepare_step(views, cost_params: CostParams, game_params: GameParams,
     ``views`` holds ``(state, obs, ego_path)`` per deciding vehicle (at least
     one), after ``update_estimates``.  One call each rolls out the games'
     distinct keys (``rollout``), prices their rows (``speed_sums``) and every
-    game's ordered pairs, deduplicated by their two rows (``pair_sides``)."""
+    game's ordered pairs, deduplicated by their two rows (``pair_sides``); a
+    step whose games are all one-player prices no pair."""
     slot, rows, games = {}, {}, {}
     for state, obs, ego_path in views:
         keys = _game_keys(state, obs, ego_path, agent_params.player_cap)
@@ -231,30 +240,35 @@ def prepare_step(views, cost_params: CostParams, game_params: GameParams,
     arclen = [path.project(*c.xy())[0] if c.arclen is None else c.arclen for path, c in slot]
     table = rollout([(path, s, c.v, c.status) for (path, c), s in zip(slot, arclen)],
                     game_params.strategy_accels, game_params.horizon, delta, diameter)
-    sides = pair_sides(table, [p for p, _ in rows], [q for _, q in rows],
-                       [rows[q, p] for p, q in rows], cost_params, r_in)
-    return StepPrep(table, arclen, games, speed_sums(table, cost_params), sides)
+    if rows:
+        sides = pair_sides(table, [p for p, _ in rows], [q for _, q in rows],
+                           [rows[q, p] for p, q in rows], cost_params, r_in)
+    else:  # every game is one-player
+        S = len(game_params.strategy_accels)
+        sides = np.empty((2, 2, 0, S, S, game_params.horizon))
+    return StepPrep(table, games, speed_sums(table, cost_params), sides)
 
 
 def decide(state: AgentState, obs: Mapping[int, Configuration], prep: StepPrep,
-           cost_params: CostParams, game_params: GameParams, agent_params: AgentParams,
-           delta: float, diameter: float = VEHICLE_DIAMETER) -> DecisionResult:
+           cost_params: CostParams, game_params: GameParams,
+           agent_params: AgentParams) -> DecisionResult:
     """One decision round for ``state.vid`` given its observation ``obs``.
 
     ``update_estimates`` must have run on the same ``obs``: every neighbour's
     weight and hypothesis path are read from ``state``.  The game's rows (one
     gather each) come from ``prep``, prepared for views that hold this one.
+    Each neighbour's predicted position is the stage-1 pose of its row under
+    its equilibrium strategy.
     """
     ego_id = state.vid
     keys, slots, rows = prep.games[ego_id]
     weights = {vid: state.w_agg if vid == ego_id else state.w_hat[vid] for vid in keys}
-    accels = game_params.strategy_accels
     speed = prep.speed[slots]
     sides = prep.sides[:, :, rows]
 
     order = tuple(order_players(weights))
     profile = _play(speed, weights, order, sides, cost_params)
-    accel = float(accels[profile[ego_id]])
+    accel = float(game_params.strategy_accels[profile[ego_id]])
 
     override = False
     if all(obs[v].v < agent_params.deadlock_speed_eps for v in obs):
@@ -266,9 +280,12 @@ def decide(state: AgentState, obs: Mapping[int, Configuration], prep: StepPrep,
             override = True
 
     state.prep, state.order = prep, order
-    state.pred_xy = {vid: step(Configuration(c.r, c.theta, c.v, c.status, prep.arclen[k]),
-                               float(accels[profile[vid]]), delta, path, diameter).xy()
-                     for (vid, (path, c)), k in zip(keys.items(), slots) if vid != ego_id}
+    rho, theta = prep.table.rho, prep.table.theta
+    state.pred_xy = {}
+    for vid, k in zip(keys, slots):
+        if vid != ego_id:  # stage-1 pose under its strategy, mapped as ``Configuration.xy`` does
+            r, th = float(rho[k, profile[vid], 1]), float(theta[k, profile[vid], 1])
+            state.pred_xy[vid] = r * math.cos(th), r * math.sin(th)
     return DecisionResult(accel=accel, override=override, profile=profile, weights=weights)
 
 

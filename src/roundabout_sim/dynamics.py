@@ -20,10 +20,17 @@ every path built here, this hysteresis rule is equivalent to switching at the
 two crossing arclens.  ``advance_status`` applies it to a code or an array.
 
 ``rollout`` advances every strategy of a batch of requests (a simulation
-step's worth) at once, one array pass per horizon stage, into one ``Rollout``
-table; it maps all later stage arclens to poses with a single
-``NavigationPath.pose_batch`` call over the batch's distinct paths.  Stage 0
-comes from the scalar ``pose``, as in ``step``; later stages stay on
+step's worth) at once into one ``Rollout`` table.  Only stage 1 applies a
+strategy's acceleration: one ``_advance`` call over ``(request, strategy)``
+arrays.  Every later stage coasts, and at ``a = 0`` ``_advance`` gives
+exactly ``v' = v`` and ``s' = s + v*delta`` (``v + 0*delta`` is ``v``, the
+stop branch is a 0 mask times a finite number, and the added zeros change no
+bit), so the coasting arclens are one in-place cumulative sum of
+``v1*delta`` along the stage axis.  numpy accumulates it left to right: the
+same additions in the same order as stepping stage by stage.  Status takes
+one hysteresis pass per stage.  All later stage arclens map to poses with a
+single ``NavigationPath.pose_batch`` call over the batch's distinct paths.
+Stage 0 comes from the scalar ``pose``, as in ``step``; later stages stay on
 ``pose_batch`` because numpy's ``arctan2`` and ``hypot`` differ from libm's
 in the last ulp at some points (about 3% of line and arc points sampled on
 the default geometry), so rollouts of the two kinds would not agree bit for
@@ -142,8 +149,8 @@ def rollout(requests: Sequence[tuple], accels: Sequence[float], horizon: int, de
     table, in request order.  Strategy ``i`` applies the first-stage
     acceleration ``accels[i]`` at stage 0 and coasts for the remaining
     ``horizon - 2`` steps; that is the whole strategy space, as only the first
-    stage is ever executed.  Kinematics and status run on ``(request,
-    strategy)`` arrays, one pass per stage; poses as the module docstring says.
+    stage is ever executed.  Kinematics, status and poses run on ``(request,
+    strategy)`` arrays as the module docstring says.
     """
     paths = {}
     which = np.array([paths.setdefault(path, len(paths)) for path, *_ in requests])
@@ -152,10 +159,10 @@ def rollout(requests: Sequence[tuple], accels: Sequence[float], horizon: int, de
     _check_inputs(float(v[:, 0, 0].min()), delta)
     for k, (path, arclen0, _, _) in enumerate(requests):
         rho[k, :, 0], theta[k, :, 0], _ = path.pose(float(arclen0))
-    a = np.array(accels, dtype=float)
-    for tau in range(1, horizon):
-        arc[:, :, tau], v[:, :, tau] = _advance(arc[:, :, tau - 1], v[:, :, tau - 1],
-                                                a if tau == 1 else 0.0, delta)
+    arc[:, :, 1], v[:, :, 1] = _advance(arc[:, :, 0], v[:, :, 0], np.array(accels, float), delta)
+    v[:, :, 2:] = v[:, :, 1:2]
+    arc[:, :, 2:] = v[:, :, 1:2] * delta
+    np.cumsum(arc[:, :, 1:], axis=-1, out=arc[:, :, 1:])
     rho[:, :, 1:], theta[:, :, 1:], _ = NavigationPath.pose_batch(
         list(paths), which[:, None, None], arc[:, :, 1:])
     status = np.empty(arc.shape, dtype=np.int8)

@@ -31,6 +31,7 @@ point back to the nearest arclen and its squared distance.
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -207,15 +208,13 @@ class NavigationPath:
     @staticmethod
     def pose_batch(paths, which, arclens):
         """Vectorised ``pose`` of ``arclens`` on ``paths[which]`` (broadcast; a scalar 0 poses
-        one path): (rho, theta, label_code) arrays.  On the paths' stacked segment tables a
-        point's segment is its path's first plus the count of its starts at or before it."""
+        one path): (rho, theta, label_code) arrays.  On the paths' stacked segment tables
+        (``_stack``) a point's segment is its path's first plus the count of its starts at or
+        before it."""
         s = np.asarray(arclens, dtype=float)
         if not np.all(s >= 0.0):  # also rejects NaN
             raise ValueError("arclen must be non-negative")
-        # NaN pads a shorter path's starts: it is never at or before an arclen
-        starts = np.array(list(zip_longest(*(p._starts for p in paths), fillvalue=math.nan))).T
-        first = np.cumsum([-1] + [len(p.segments) for p in paths[:-1]])
-        table = np.concatenate([p._table for p in paths], axis=1)
+        starts, first, table = _stack(tuple(paths))
         idx = first[which] + (starts[which] <= s[..., None]).sum(axis=-1)
         s0, kind, label, _, ax, ay, bx, by, radius, psi0, orient = table[:, idx]
         t = s - s0
@@ -246,6 +245,21 @@ class NavigationPath:
             if d2 < best_d2 - 1e-12:
                 best_s, best_d2 = s0 + t, d2
         return best_s, best_d2
+
+
+@functools.lru_cache(maxsize=64)
+def _stack(paths):
+    """The stacked segment tables of a tuple of paths, read by ``pose_batch``: each path's
+    starts as a row, NaN-padded (never at or before an arclen), the column of each path's
+    first segment less one, and the segment columns side by side.  Paths hash by identity, so
+    a step's distinct paths, which recur from step to step, are stacked once while they recur;
+    the bound keeps a campaign's ever-new path lists from piling up."""
+    starts = np.array(list(zip_longest(*(p._starts for p in paths), fillvalue=math.nan))).T
+    first = np.cumsum([-1] + [len(p.segments) for p in paths[:-1]])
+    table = np.concatenate([p._table for p in paths], axis=1)
+    for a in (starts, first, table):
+        a.flags.writeable = False  # shared by every call on the same paths
+    return starts, first, table
 
 
 def _point_d2(seg, t, x, y):

@@ -67,6 +67,10 @@ class SimParams:
         for name in ("spawn_spacing", "vehicle_diameter"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
+        if self.spawn_spacing < self.vehicle_diameter:
+            raise ValueError(f"spawn_spacing {self.spawn_spacing} is below vehicle_diameter "
+                             f"{self.vehicle_diameter}: vehicles queued on one arm would "
+                             "spawn overlapping")
         if self.removal_margin < 0.0:
             raise ValueError("removal_margin must be non-negative")
 
@@ -224,8 +228,7 @@ def run_simulation(n_vehicles: int, seed: int, geometry: Geometry,
                                       game_params.strategy_accels)
                 est, override, pred = {}, False, {}
             else:
-                d = decide(agents[vid], views[vid], prep, cost_params, game_params,
-                           agent_params, sim_params.delta, diameter)
+                d = decide(agents[vid], views[vid], prep, cost_params, game_params, agent_params)
                 accel, est, override = d.accel, d.weights, d.override
                 pred = {j: float(game_params.strategy_accels[d.profile[j]])
                         for j in d.profile if j != vid}

@@ -521,7 +521,7 @@ def decide_alone(state, obs, ego_path, geometry, cost_params, game_params, agent
     """``decide`` on a step prepared for this one view (``update_estimates`` ran on ``obs``)."""
     prep = prepare_step([(state, obs, ego_path)], cost_params, game_params, agent_params,
                         delta, geometry.r_in, diameter)
-    return decide(state, obs, prep, cost_params, game_params, agent_params, delta, diameter)
+    return decide(state, obs, prep, cost_params, game_params, agent_params)
 
 
 def pairs_with_reverse(K):

@@ -17,7 +17,7 @@ from roundabout_sim.agent import (
     update_estimates,
 )
 from roundabout_sim.cost import CostParams, pair_sides, speed_sums
-from roundabout_sim.dynamics import Configuration, rollout
+from roundabout_sim.dynamics import Configuration, rollout, step
 from roundabout_sim.game import GameParams
 from roundabout_sim.geometry import (
     Maneuver,
@@ -32,7 +32,8 @@ from roundabout_sim.sim import SimParams, run_simulation
 P = CostParams()
 GP = GameParams()
 AP = AgentParams()
-DELTA = 0.25
+SP = SimParams()
+DELTA = SP.delta
 
 
 @pytest.fixture(scope="module")
@@ -226,7 +227,7 @@ class TestReestimateOracle:
             keys, slots, _ = state.prep.games[state.vid]
             ids = sorted((state.vid, j))
             two = state.prep.table[[slots[list(keys).index(v)] for v in ids]]
-            alone = StepPrep(two, None, {state.vid: ({v: keys[v] for v in ids}, [0, 1], [0, 1])},
+            alone = StepPrep(two, {state.vid: ({v: keys[v] for v in ids}, [0, 1], [0, 1])},
                              speed_sums(two, cost_params),
                              pair_sides(two, *pairs_with_reverse(2), cost_params, geom.r_in))
             assert got == batched(replace(state, prep=alone), j, obs_j, cost_params,
@@ -253,9 +254,8 @@ class TestFrozenGame:
             ego_paths.update((state.vid, path) for state, _, path in views)
             return real_step(views, *args)
 
-        def checked(state, obs, prep, cost_params, game_params, agent_params, delta, diameter):
-            d = real_decide(state, obs, prep, cost_params, game_params, agent_params, delta,
-                            diameter)
+        def checked(state, obs, prep, cost_params, game_params, agent_params):
+            d = real_decide(state, obs, prep, cost_params, game_params, agent_params)
             keys, slots, rows = state.prep.games[state.vid]
             ids = sorted(d.profile)
             assert list(keys) == ids and sorted(state.order) == ids
@@ -269,7 +269,7 @@ class TestFrozenGame:
                     path = state.est_path[vid]
                     s = path.project(*c.xy())[0]
                 fresh = rollout([(path, s, c.v, c.status)], game_params.strategy_accels,
-                                game_params.horizon, delta, diameter)
+                                game_params.horizon, SP.delta, SP.vehicle_diameter)
                 for name in ("theta", "rho", "v", "status"):
                     got, want = getattr(game, name)[k], getattr(fresh, name)[0]
                     assert got.dtype == want.dtype and got.shape == want.shape
@@ -286,8 +286,37 @@ class TestFrozenGame:
 
         monkeypatch.setattr(sim, "prepare_step", staged)
         monkeypatch.setattr(sim, "decide", checked)
-        run_simulation(6, 11, geom, P, GP, AP, SimParams())
+        run_simulation(6, 11, geom, P, GP, AP, SP)
         assert len(players) > 100 and max(players) >= 3 and min(players) == 1
+
+    def test_predictions_are_the_tables_stage_one_poses(self, geom, monkeypatch):
+        # each neighbour's predicted position is its row's stage-1 pose under its
+        # equilibrium strategy, and agrees with stepping it alone to well under a nanometre
+        real_decide = sim.decide
+        predicted, ulps = [], []
+
+        def checked(state, obs, prep, *args):
+            d = real_decide(state, obs, prep, *args)
+            keys, slots, _ = prep.games[state.vid]
+            assert set(state.pred_xy) == set(keys) - {state.vid}
+            for (vid, (path, c)), k in zip(keys.items(), slots):
+                if vid == state.vid:
+                    continue
+                i = d.profile[vid]
+                r, th = float(prep.table.rho[k, i, 1]), float(prep.table.theta[k, i, 1])
+                assert state.pred_xy[vid] == (r * math.cos(th), r * math.sin(th))
+                x = Configuration(c.r, c.theta, c.v, c.status, path.project(*c.xy())[0])
+                want = step(x, GP.strategy_accels[i], SP.delta, path).xy()
+                assert math.dist(state.pred_xy[vid], want) <= 1e-9
+                predicted.append(vid)
+                ulps.append(state.pred_xy[vid] != want)
+            return d
+
+        monkeypatch.setattr(sim, "decide", checked)
+        for n, seed in ((8, 42), (4, 43), (6, 11)):
+            run_simulation(n, seed, geom)
+        assert len(predicted) > 500
+        assert not all(ulps)  # most predictions are bit-identical to the scalar step
 
     def test_staged_step_equals_each_decision_prepared_alone(self, geom, monkeypatch):
         real_rollout, real_decide, real_step = agent.rollout, sim.decide, sim.prepare_step
@@ -354,17 +383,20 @@ class TestStagedStep:
         assert all(len(calls) == 1 and len(calls[0]) == len(set(calls[0])) for calls in posed)
         assert max(len(calls[0]) for calls in posed) > 1  # one call serves several paths
 
-    def test_one_pair_kernel_call_per_step_and_one_pricing_per_game(self, geom, monkeypatch):
+    def test_one_pair_kernel_call_per_paired_step_and_one_pricing_per_game(self, geom,
+                                                                           monkeypatch):
         # the call shape the traced benchmark pins: pairs and speed rows are priced
-        # only while a step is prepared, once per step; payoff_tensors runs once
-        # per decision with that game's K speed rows and once per re-estimation with 2
+        # only while a step is prepared, pairs once per step that holds a pair and not
+        # at all on a step of one-player games, speed rows once per step; payoff_tensors
+        # runs once per decision with that game's K speed rows and once per
+        # re-estimation with 2
         real_sides, real_payoff = agent.pair_sides, agent.payoff_tensors
         real_speed = agent.speed_sums
         real_prep, real_update, real_decide = sim.prepare_step, sim.update_estimates, sim.decide
         real_reestimate = agent._reestimate
         stack = ["run"]   # the pass we are in
         kernel = []       # the pass of each pair-kernel call
-        per_step = []     # pair-kernel calls made by each step's preparation
+        per_step = []     # (holds a pair, pair-kernel calls) of each step's preparation
         speed_passes = [] # the pass of each speed_sums call
         priced = []       # (pass, K) of each payoff_tensors call
         shapes = []       # (K of each payoff_tensors call made, game's K) per decision
@@ -393,7 +425,11 @@ class TestStagedStep:
         def staged(*args):
             before = len(kernel)
             prep = within("prepare", real_prep)(*args)
-            per_step.append(len(kernel) - before)
+            paired = any(rows for _, _, rows in prep.games.values())
+            if not paired:  # an empty table of the kernel's shape
+                S = len(GP.strategy_accels)
+                assert prep.sides.shape == (2, 2, 0, S, S, GP.horizon)
+            per_step.append((paired, len(kernel) - before))
             return prep
 
         monkeypatch.setattr(sim, "prepare_step", staged)
@@ -403,7 +439,7 @@ class TestStagedStep:
         monkeypatch.setattr(agent, "_reestimate",
                             within("reestimate", real_reestimate, lambda w: 2))
         steps, _ = negotiating_steps((42, 43, 44), geom)
-        assert len(per_step) == steps and set(per_step) == {1}
+        assert len(per_step) == steps and set(per_step) == {(True, 1), (False, 0)}
         assert set(kernel) == {"prepare"}  # none under update_estimates or decide
         assert speed_passes == ["prepare"] * steps
         assert {p for p, _ in priced} == {"decide", "reestimate"}

@@ -105,6 +105,13 @@ class TestErrors:
         with pytest.raises(ConfigError, match=r"lam must be in \(0, 1\)"):
             parse_config("[cost]\nlambda = 1.5\n")
 
+    def test_overlapping_spawns_rejected(self):
+        with pytest.raises(ConfigError, match="spawn_spacing 3.0 is below vehicle_diameter 4.5"):
+            parse_config("[sim]\nspawn_spacing = 3.0\n")
+        with pytest.raises(ConfigError, match="spawn overlapping"):
+            parse_config("[sim]\nvehicle_diameter = 11.0\n")
+        assert parse_config("[sim]\nspawn_spacing = 4.5\n").sim.spawn_spacing == 4.5
+
     def test_geometry_invariants_checked_at_parse_time(self):
         with pytest.raises(ConfigError, match="ways"):
             parse_config("[geometry]\nways = 2\n")

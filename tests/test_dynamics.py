@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import all_paths, boundary_arclens, build_strategies, reference_rollout, update_status
-from roundabout_sim.dynamics import Configuration, rollout, step
+from roundabout_sim.dynamics import Configuration, _advance, rollout, step
 from roundabout_sim.game import DEFAULT_ACCELS
 from roundabout_sim.geometry import (
     Maneuver,
@@ -179,6 +179,36 @@ class TestRollout:
                     assert np.array_equal(arr, want), (name, req[1:])
                 checked += 1
         assert checked == len(requests)
+
+    @pytest.mark.parametrize("horizon", [4, 9], ids=["default", "horizon9"])
+    def test_coast_stages_equal_chained_scalar_advance(self, geom, horizon):
+        # stage 1 applies the strategy, every later stage coasts: the table's speeds, and
+        # its poses at the arclens of stepping _advance at a = 0 one stage at a time, bit
+        # for bit; standstill starts and stops under the hard brakes among the requests
+        rng = np.random.default_rng(horizon)
+        paths = all_paths(geom)
+        requests = [(paths[int(rng.integers(len(paths)))], float(rng.uniform(0.0, 120.0)), v0,
+                     Status.ENTER) for v0 in (0.0, 0.0, 1.0, 2.5, 7.3, 14.0) for _ in range(4)]
+        order = rng.permutation(len(requests))
+        requests = [requests[k] for k in order]
+        stopped = 0
+        for lo, hi in ((0, 1), (1, 7), (7, len(requests))):
+            batch = requests[lo:hi]
+            table = rollout(batch, DEFAULT_ACCELS, horizon, 0.25)
+            for k, (path, s0, v0, _) in enumerate(batch):
+                for i, a in enumerate(DEFAULT_ACCELS):
+                    s, v = _advance(s0, v0, a, 0.25)
+                    arcs, speeds = [s], [v]
+                    for _ in range(2, horizon):
+                        s, v = _advance(s, v, 0.0, 0.25)
+                        arcs.append(s)
+                        speeds.append(v)
+                    stopped += v == 0.0
+                    assert table.v[k, i, 1:].tolist() == speeds
+                    rho, theta, _ = NavigationPath.pose_batch([path], 0, np.array(arcs))
+                    assert table.rho[k, i, 1:].tobytes() == rho.tobytes()
+                    assert table.theta[k, i, 1:].tobytes() == theta.tobytes()
+        assert stopped > len(requests)  # standstill starts and hard-brake stops coast at 0
 
     @staticmethod
     def count_pose_batch(monkeypatch):

@@ -18,6 +18,7 @@ from oracles import (
     reference_pose_batch,
     total_enter_len,
 )
+from roundabout_sim import geometry
 from roundabout_sim.geometry import (
     Maneuver,
     NavigationPath,
@@ -277,6 +278,29 @@ class TestPose:
             for g, want in zip(got, reference_pose_batch(p, mixed[which == k])):
                 assert g.dtype == want.dtype
                 assert np.array_equal(g[which == k], want), k
+
+    def test_stack_cache_is_bounded_and_output_neutral(self, geom):
+        # pose_batch keeps the stacked segment tables of recent path lists; a cached
+        # stack poses as a fresh one does, whatever the order of the list
+        rng = np.random.default_rng(7)
+        paths = all_paths(geom)
+        which = rng.integers(len(paths), size=(6, 5, 3))
+        s = rng.uniform(0.0, 150.0, size=which.shape)
+        geometry._stack.cache_clear()
+        fresh = NavigationPath.pose_batch(paths, which, s)
+        cached = NavigationPath.pose_batch(list(paths), which, s)
+        assert geometry._stack.cache_info().hits == 1
+        perm = rng.permutation(len(paths))
+        permuted = NavigationPath.pose_batch([paths[k] for k in perm],
+                                             np.argsort(perm)[which], s)
+        for f, c, p in zip(fresh, cached, permuted):
+            assert f.dtype == c.dtype == p.dtype
+            assert f.tobytes() == c.tobytes() == p.tobytes()
+        bound = geometry._stack.cache_info().maxsize
+        assert bound is not None
+        for k in range(bound + 10):  # more distinct path lists than the cache holds
+            NavigationPath.pose_batch([paths[k % len(paths)], paths[k // len(paths)]], 0, 1.0)
+        assert geometry._stack.cache_info().currsize == bound
 
     @given(s=st.floats(0.0, 300.0), data=st.data())
     @settings(max_examples=60)

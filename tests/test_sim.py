@@ -58,6 +58,16 @@ class TestInitScenario:
         with pytest.raises(ValueError):
             init_scenario(2 * geom.spec.ways + 1, geom, 1, SP, CP)
 
+    def test_spacing_below_the_diameter_rejected(self, geom):
+        # same-arm vehicles spawn one spacing apart on a straight lane
+        with pytest.raises(ValueError, match="spawn_spacing 3.0 is below vehicle_diameter 4.5"):
+            SimParams(spawn_spacing=3.0)
+        with pytest.raises(ValueError, match="spawn overlapping"):
+            SimParams(vehicle_diameter=12.0)
+        vehicles, _ = init_scenario(8, geom, 2, SimParams(spawn_spacing=4.5), CP)
+        lead, trail = vehicles[0].config, vehicles[4].config
+        assert lead.arclen - trail.arclen == 4.5
+
 
 class TestSingleVehicle:
     def test_exits_cleanly(self, geom):
