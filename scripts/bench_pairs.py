@@ -12,7 +12,9 @@ outcomes (``summary_sha256`` and the outcome metrics) were identical on every
 seed.  ``--out`` writes every run's full report (result, env and info blocks),
 the summary and each checkout's ``src_sha256`` (a digest of its ``src/``
 files, which names the measured code even when the checkout is uncommitted)
-to one JSON file, by convention ``BENCH_<n>.json`` at the repository root::
+to one JSON file, by convention ``BENCH_<n>.json`` at the repository root.
+It exits 1, naming the side, workload and seed on stderr, when any run was
+not ``correct`` or exited non-zero::
 
     python3 scripts/bench_pairs.py ../parent . --workload dense8 --pairs 10 \\
         --seed 1001 --out BENCH_10.json
@@ -97,9 +99,16 @@ def run_workload(parent: Path, change: Path, workload: str, pairs: int, seed: in
     return {"seeds": [seed + k for k in range(pairs)], "summary": summary,
             "outcomes_identical": all(outcome(p) == outcome(c) for p, c in
                                       zip(sides["parent"], sides["change"])),
-            "all_correct": all(r["result"]["correct"] for runs in sides.values()
-                               for r in runs),
+            "all_correct": all(r["result"]["correct"] and r["exit_code"] == 0
+                               for runs in sides.values() for r in runs),
             **sides}
+
+
+def failures(name: str, res: dict) -> list:
+    """A line per run of workload ``name`` that was not correct or exited non-zero."""
+    return [f"{side} {name} seed {seed}: correct {r['result']['correct']}, exit {r['exit_code']}"
+            for side in ("parent", "change") for seed, r in zip(res["seeds"], res[side])
+            if not r["result"]["correct"] or r["exit_code"] != 0]
 
 
 def print_workload(name: str, res: dict) -> None:
@@ -136,17 +145,20 @@ def main(argv=None) -> int:
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
     checkouts = {side: {"src_sha256": src_sha256(path.resolve())}
                  for side, path in (("parent", args.parent), ("change", args.change))}
-    results = {}
+    results, failed = {}, []
     for name in workloads:
         results[name] = run_workload(args.parent.resolve(), args.change.resolve(), name,
                                      args.pairs, args.seed, args.seconds, spec)
         print_workload(name, results[name])
+        failed += failures(name, results[name])
         if args.out:  # rewritten after each workload, so a cut run keeps what finished
             args.out.write_text(json.dumps(
                 {"seconds": args.seconds, "pairs": args.pairs, "checkouts": checkouts,
                  "workloads": results},
                 indent=1) + "\n")
-    return 0
+    for line in failed:
+        print(f"FAILED run: {line}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

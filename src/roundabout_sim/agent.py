@@ -291,11 +291,11 @@ def decide(state: AgentState, obs: Mapping[int, Configuration], prep: StepPrep,
 
 def _play(speed, weights, order, sides, cost_params):
     """Solve the game of ``weights``' players, moving in ``order``, over their speed rows (by id)
-    and pair rows: a strategy index per player, or a list (one per game) for batched weights."""
+    and pair rows: a strategy index per player, or a list (one per game) when every weight is a
+    column of ``B``.  One cost array, players by id, goes from ``payoff_tensors`` to the solver."""
     ids = sorted(weights)
     costs = payoff_tensors(speed, [weights[v] for v in ids], sides, cost_params)
-    axis_of = {vid: k for k, vid in enumerate(ids)}
-    prof = tensor_equilibrium(costs, [axis_of[v] for v in order if v in axis_of])
+    prof = tensor_equilibrium(costs, [ids.index(v) for v in order if v in weights])
     return dict(zip(ids, np.transpose(prof).tolist()))
 
 
@@ -303,10 +303,10 @@ def _reestimate(state: AgentState, j: int, obs_j: Configuration,
                 cost_params: CostParams, agent_params: AgentParams, delta: float) -> float:
     """Replay last step's two-player game under every candidate weight; pick the best fit.
 
-    One ``payoff_tensors`` call with a column of candidate weights prices the
-    games, solved as one batch, on the game frozen in ``state``: nothing is
-    priced again, ego's and ``j``'s rows of the step are selected by id and
-    the rows of ``(ego, j)`` and ``(j, ego)`` in their ``pair_order``.
+    One ``payoff_tensors`` call with a ``(2, B)`` matrix of candidate weights
+    prices the games, solved as one batch, on the game frozen in ``state``:
+    nothing is priced again, ego's and ``j``'s rows of the step are selected
+    by id and the rows of ``(ego, j)`` and ``(j, ego)`` in their ``pair_order``.
     """
     keys, slots, rows = state.prep.games[state.vid]
     ids, pair = list(keys), {state.vid, j}
@@ -314,7 +314,7 @@ def _reestimate(state: AgentState, j: int, obs_j: Configuration,
     sides = state.prep.sides[:, :, [rows[n] for n, (p, q) in enumerate(zip(ego, other))
                                     if {ids[p], ids[q]} == pair]]
     speed = state.prep.speed[[slots[k] for k, vid in enumerate(ids) if vid in pair]]
-    grid = np.array(agent_params.w_grid, dtype=float)[:, None, None]
+    grid = np.array(agent_params.w_grid, dtype=float)
     w_ego = (np.full_like(grid, state.w_agg)
              if agent_params.estimator_ego_uses_true_weight else grid)
     profile = _play(speed, {state.vid: w_ego, j: grid}, state.order, sides, cost_params)

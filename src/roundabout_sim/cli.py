@@ -44,7 +44,7 @@ from . import __version__
 from .config import (ConfigError, ExperimentConfig, load_config, parse_config,
                      resolved_campaign)
 from .dynamics import VEHICLE_DIAMETER
-from .geometry import build_roundabout
+from .geometry import Status, build_roundabout
 from .sim import RunResult, min_pairwise, run_simulation
 
 TRACE_COLUMNS = ("t", "id", "r", "theta", "v", "status", "accel",
@@ -52,6 +52,7 @@ TRACE_COLUMNS = ("t", "id", "r", "theta", "v", "status", "accel",
 BUCKET_LO, BUCKET_HI, BUCKET_WIDTH = 0.2, 0.8, 0.1
 _TRACE_NAME = re.compile(r"^run_(\d+)\.csv$")
 _DIR_NAME = re.compile(r"^n(\d+)$")
+_STATUS_NAMES = frozenset(s.name.lower() for s in Status)
 
 
 @dataclass(frozen=True)
@@ -184,7 +185,9 @@ class TraceFormatError(ValueError):
 
 
 def trace_stats(path: str, diameter: float = VEHICLE_DIAMETER) -> RunStats:
-    """One run's stats from its trace file alone, by :func:`_row_stats`."""
+    """One run's stats from its trace file alone, by :func:`_row_stats`.  A bad name, header, row
+    length or status, a non-finite ``t``, ``r`` or ``theta``, or a vehicle without a finite own
+    weight raises :class:`TraceFormatError`."""
     name = os.path.basename(path)
     if _TRACE_NAME.match(name) is None:
         raise TraceFormatError(f"{name}: trace files are named run_<seed>.csv")
@@ -200,8 +203,10 @@ def trace_stats(path: str, diameter: float = VEHICLE_DIAMETER) -> RunStats:
             for rec in reader:
                 if len(rec) != len(TRACE_COLUMNS):
                     raise TraceFormatError(f"{name}: short row {rec!r}")
-                vid = int(rec[1])
-                rows.append((float(rec[0]), vid, float(rec[2]), float(rec[3]), rec[5]))
+                t, vid, r, theta = float(rec[0]), int(rec[1]), float(rec[2]), float(rec[3])
+                if rec[5] not in _STATUS_NAMES or not all(map(math.isfinite, (t, r, theta))):
+                    raise TraceFormatError(f"{name}: bad status or non-finite t, r, theta {rec!r}")
+                rows.append((t, vid, r, theta, rec[5]))
                 if vid not in self_w and rec[7]:
                     for pair in rec[7].split(";"):
                         k, _, v = pair.partition("=")
@@ -214,8 +219,8 @@ def trace_stats(path: str, diameter: float = VEHICLE_DIAMETER) -> RunStats:
         raise TraceFormatError(f"{name}: {exc}")
     if not rows:
         raise TraceFormatError(f"{name}: no data rows")
-    if any(row[1] not in self_w for row in rows):
-        raise TraceFormatError(f"{name}: a vehicle never lists its own weight")
+    if not all(math.isfinite(self_w.get(row[1], math.nan)) for row in rows):
+        raise TraceFormatError(f"{name}: a vehicle never lists a finite own weight")
     return _row_stats(rows, self_w, diameter)
 
 

@@ -31,12 +31,13 @@ can shrink to ``D_c / sqrt(2)`` of actual separation.
 ``pair_sides`` prices ordered pairs of a rollout table's rows and
 ``speed_sums`` each row's speed term, so one call of each over a step's table
 serves every game of the step; ``payoff_tensors`` turns one game's speed and
-pair rows into discounted-cost tensors with one axis per player, which the
-game solver consumes directly.  A weight given as a column of candidates adds
-a leading batch axis, which is how the estimator prices one game under every
-candidate aggressiveness in one call.  The scalar per-vehicle forms of the
-same terms live in ``tests/oracles.py`` as the independent reference the
-tensors are checked against.
+pair rows into one discounted-cost array ``(K, S, ..., S)``, a tensor per
+player with one strategy axis per player, players and axes in ascending id
+order, which the game solver consumes directly.  A ``(K, B)`` weight matrix
+adds a batch axis after the player axis, which is how the estimator prices
+one game under every candidate aggressiveness in one call.  The scalar
+per-vehicle forms of the same terms live in ``tests/oracles.py`` as the
+independent reference the tensors are checked against.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -155,41 +155,42 @@ def speed_sums(table, params: CostParams) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def _joint_index(K: int, S: int) -> np.ndarray:
-    """Per other player, the flat entry ``(r, i, j)`` of ego's ``(K - 1, S, S)`` pair blocks that
-    each joint profile reads: ``(K - 1, S**K)``.  A profile's digits are ego's strategy ``i``,
-    then the others' in ascending id order; the other at rank ``r`` plays digit ``j``."""
+def _joint_index(K: int, S: int):
+    """Flat gather indices over the joint strategy space, whose digits ``d`` are the players'
+    strategies in ascending id order.  Speed, ``(K, S**K)``: player ``p`` reads entry ``(p, d_p)``
+    of the game's ``(K, S)`` rows.  Pairs, ``(K - 1, K, S**K)``: ``p``'s pair with the other ``q``
+    at rank ``r`` reads entry ``(p(K-1) + r, d_p, d_q)`` of its ``(K(K-1), S, S)`` blocks."""
     digits = np.indices((S,) * K).reshape(K, -1)
-    return np.array([(r * S + digits[0]) * S + digits[r + 1] for r in range(K - 1)])
+    speed = np.arange(K)[:, None] * S + digits
+    pairs = np.array([[((p * (K - 1) + r) * S + digits[p]) * S + digits[r + (r >= p)]
+                       for p in range(K)] for r in range(K - 1)], dtype=np.intp)
+    return speed, pairs
 
 
-def _nearest_safe(sides, K: int, wts: np.ndarray) -> list:
-    """Every player's discounted safety cost over the joint strategy space.
+def _nearest_safe(sides, pairs: np.ndarray, wts: np.ndarray) -> np.ndarray:
+    """Every player's discounted safety cost over the joint strategy space: ``(K, S**K)``.
 
-    Takes one game's ``pair_sides`` rows, ``(2, 2, K(K-1), S, S, h)``.  Each
-    other player's ``(ego, other)`` blocks are gathered into a contiguous
-    ``(2, 2, K, S**K, h)`` joint array, all egos and both sides at once.  The
-    nearest-by-angle neighbour per side is a running strict minimum over the
-    other players in ascending id order, which keeps the first (lowest-id)
-    tie like argmin.  The horizon stays the contiguous last axis of the
-    discounted sum, which fixes its addition order; ego's axis moves into
-    place after it.
+    Takes one game's ``pair_sides`` rows, ``(2, 2, K(K-1), S, S, h)``, and
+    ``_joint_index``'s pair indices.  Each rank's gather reads every player's
+    block with that other into a contiguous ``(2, 2, K, S**K, h)`` joint
+    array, all players and both sides at once.  The nearest-by-angle
+    neighbour per side is a running strict minimum over the other players in
+    ascending id order, which keeps the first (lowest-id) tie like argmin.
+    The horizon stays the contiguous last axis of the discounted sum, which
+    fixes its addition order.
     """
-    S, h = sides.shape[-2:]
-    blocks, idx = sides.reshape(2, 2, K, -1, h), _joint_index(K, S)
-    best_gap, best_cost = np.take(blocks, idx[0], axis=3)
-    for i in idx[1:]:
-        gap, cost = np.take(blocks, i, axis=3)
+    blocks = sides.reshape(2, 2, -1, sides.shape[-1])
+    best_gap, best_cost = np.take(blocks, pairs[0], axis=2)
+    for i in pairs[1:]:
+        gap, cost = np.take(blocks, i, axis=2)
         m = gap < best_gap
         np.copyto(best_gap, gap, where=m)
         np.copyto(best_cost, cost, where=m)
-    sums = (np.maximum(best_cost[0], best_cost[1]) * wts).sum(axis=-1).reshape((K,) + (S,) * K)
-    return [sums[p].transpose(list(range(1, p + 1)) + [0] + list(range(p + 1, K)))
-            for p in range(K)]
+    return (np.maximum(best_cost[0], best_cost[1]) * wts).sum(axis=-1)
 
 
-def payoff_tensors(speed: np.ndarray, w: Sequence, sides: np.ndarray, params: CostParams) -> list:
-    """Discounted game costs over the joint strategy space.
+def payoff_tensors(speed: np.ndarray, w, sides: np.ndarray, params: CostParams) -> np.ndarray:
+    """Discounted game costs over the joint strategy space: one ``(K,) + (S,) * K`` array.
 
     ``speed`` holds the ``speed_sums`` rows of the game's players, ``(K, S)``,
     *in ascending vehicle-id order* (neighbour ties resolve to the earlier
@@ -197,22 +198,21 @@ def payoff_tensors(speed: np.ndarray, w: Sequence, sides: np.ndarray, params: Co
     ``sides`` holds the ``pair_sides`` rows of the game's ``K(K-1)`` ordered
     pairs in ``pair_order(K)``; a one-player game reads none.  Rows of
     another alphabet size raise ``ValueError``.  Stages where a vehicle has
-    exited contribute no pair terms.  Returns one ``(S,) * K`` tensor per
-    player, ``(1 - w[k]) * safe[k] + w[k] * speed[k]``.  A weight may instead
-    be an array of shape ``(B,) + (1,) * K``, one weight per game of a batch;
-    that player's tensor is then ``(B,) + (S,) * K``.
+    exited contribute no pair terms.  Entry ``p`` of the result is player
+    ``p``'s cost ``(1 - w[p]) * safe[p] + w[p] * speed[p]``, its strategy
+    axes the players' in the same id order.  The weights ``w`` are a ``(K,)``
+    vector, or a ``(K, B)`` matrix with one column per game of a batch; the
+    result is then ``(K, B) + (S,) * K``.
 
     Only the nearest-neighbour selection runs in joint space.
     """
     K, S = speed.shape
-    safe = [np.zeros(S)]
-    if K > 1:
-        if sides.shape[2:5] != (K * (K - 1), S, S):
-            raise ValueError("players must share one strategy alphabet")
-        safe = _nearest_safe(sides, K, _tables(params, sides.shape[-1])[0])
-    costs = []
-    for p in range(K):
-        view = [1] * K
-        view[p] = S
-        costs.append((1.0 - w[p]) * safe[p] + w[p] * speed[p].reshape(view))
-    return costs
+    speed_at, pairs_at = _joint_index(K, S)
+    if K > 1 and sides.shape[2:5] != (K * (K - 1), S, S):
+        raise ValueError("players must share one strategy alphabet")
+    safe = (_nearest_safe(sides, pairs_at, _tables(params, sides.shape[-1])[0]) if K > 1
+            else np.zeros((1, S)))
+    w = np.asarray(w, dtype=float)
+    joint = (K,) + (1,) * (w.ndim - 1) + (S,) * K  # a batch axis, if any, stays 1 here
+    w = w.reshape(w.shape + (1,) * K)
+    return (1.0 - w) * safe.reshape(joint) + w * speed.take(speed_at).reshape(joint)

@@ -13,9 +13,10 @@ horizon, which matches receding-horizon execution where only the first stage
 is ever applied.
 
 ``tensor_equilibrium`` runs the induction as vectorised argmin/gather passes
-over precomputed cost tensors with one axis per player.  It also solves a
-batch of games of one shape in one call, which is how the estimator replays a
-game under every candidate aggressiveness at once.
+over one precomputed ``(K, S, ..., S)`` cost array from ``payoff_tensors``,
+players and strategy axes in ascending id order.  A batch axis after the
+player axis solves a batch of games of one shape in one call, which is how
+the estimator replays a game under every candidate aggressiveness at once.
 """
 
 from __future__ import annotations
@@ -55,29 +56,29 @@ def order_players(weights: Mapping[int, float]) -> list:
     return sorted(weights, key=lambda vid: (-weights[vid], vid))
 
 
-def tensor_equilibrium(costs: Sequence[np.ndarray], order: Sequence[int]):
-    """Backward induction over per-player cost tensors.
+def tensor_equilibrium(costs, order: Sequence[int]):
+    """Backward induction over the players' cost tensors.
 
-    ``costs[p]`` has one axis per player (axis ``p`` is player ``p``'s own
-    strategy); ``order`` lists the player axes in decision order.  Returns
-    the equilibrium profile, a tuple of strategy indices by axis (player),
-    not by decision order.
+    ``costs`` is one ``(K,) + (S,) * K`` array as ``payoff_tensors`` returns
+    it (a list of K equal-shape tensors converts): ``costs[p]`` is player
+    ``p``'s cost with one axis per player, axis ``p`` its own strategy.
+    ``order`` lists the players in decision order.  Returns the equilibrium
+    profile, a tuple of strategy indices by player, not by decision order.
+    A ``(K, B) + (S,) * K`` array holds ``B`` independent games of one shape;
+    the result is then a ``(B, K)`` int array of profiles.
 
-    The tensors may carry one extra leading batch axis of length ``B``, each
-    slice an independent game; the result is then a ``(B, K)`` int array of
-    profiles.
-
-    The earlier movers' tensors are stacked with their player axes permuted
-    into decision order, so each induction level is one ``argmin`` over the
-    last axis (the first minimum wins) and one flat gather of the rest.
+    One transpose and one gather put the players and their strategy axes into
+    decision order in one contiguous copy, so each induction level is one
+    ``argmin`` over the last axis (the first minimum wins) and one flat
+    gather of the earlier movers.
     """
+    costs = np.asarray(costs)
     K = len(costs)
     if sorted(order) != list(range(K)):
         raise ValueError("order must be a permutation of the player axes")
-    lead = [0] if np.ndim(costs[0]) == K + 1 else []
-    axes = lead + [len(lead) + a for a in order]
-    mover = costs[order[-1]].transpose(axes)
-    rest = np.array([costs[a].transpose(axes) for a in order[:-1]])
+    lead = [1] if costs.ndim == K + 2 else []
+    staged = costs.transpose([0] + lead + [1 + len(lead) + a for a in order]).take(order, axis=0)
+    mover, rest = staged[-1], staged[:-1]
     picks = {}
     for k in reversed(range(K)):
         idx = mover.argmin(axis=-1)

@@ -142,6 +142,9 @@ class TestReports:
             "run_99999998.csv": header,                          # no data rows
             "run_99999997.csv": header + "1" * 200_000 + "\n",   # over csv's field limit
             "run_99999996.csv": header + "0.0,0,40.0,0.0,5.0,enter,0.0,,0\n",  # no own weight
+            "run_99999994.csv": header + "0.0,0,40.0,0.0,5.0,entre,0.0,0=0.5,0\n",  # status
+            "run_99999993.csv": header + "0.0,0,40.0,nan,5.0,enter,0.0,0=0.5,0\n",  # theta
+            "run_99999992.csv": header + "0.0,0,40.0,0.0,5.0,enter,0.0,0=nan,0\n",  # weight
         }
         for fname, text in bad.items():
             (sub / fname).write_text(text)
@@ -152,6 +155,27 @@ class TestReports:
         assert report.rows[0].runs == 2
         err = capsys.readouterr().err
         assert all(fname in err for fname in bad) and "run_99999995.csv" in err
+
+    @pytest.mark.parametrize("field, value", [
+        (5, "entre"), (5, ""), (0, "nan"), (2, "inf"), (3, "nan"), (3, "-inf"),
+        (7, "0=0.5;1=nan")])
+    def test_rows_outside_the_trace_format_raise(self, tmp_path, field, value):
+        # a misspelt status or a non-finite coordinate would otherwise read as a
+        # run without collision and with an infinite minimum distance; a nan own
+        # weight would stop summarize in the aggressiveness buckets
+        rows = [["0.0", "0", "40.0", "0.0", "5.0", "enter", "0.0", "0=0.5;1=0.5", "0"],
+                ["0.0", "1", "40.0", "3.0", "5.0", "enter", "0.0", "0=0.5;1=0.5", "0"]]
+        path = tmp_path / "run_00000001.csv"
+
+        def write():
+            path.write_text("\n".join(",".join(r) for r in [TRACE_COLUMNS] + rows) + "\n")
+
+        write()
+        assert trace_stats(str(path)).min_distance < math.inf
+        rows[1][field] = value
+        write()
+        with pytest.raises(cli.TraceFormatError):
+            trace_stats(str(path))
 
     def test_failed_run_reports_its_seed_and_traceback(self, tmp_path, monkeypatch):
         def broken_model(n, seed, *args):

@@ -367,21 +367,38 @@ class TestPayoffTensorsBitIdentity:
 
     @pytest.mark.parametrize("K", [2, 3, 4])
     def test_weight_batch_equals_slices(self, geom, K):
-        # a (B, 1, ..., 1) weight per player prices B games in one call
+        # a (K, B) weight matrix prices B games in one call, (K, B, S, ..., S)
         pool = rollout_pool(geom, 4)
         rng = np.random.default_rng(20 + K)
         grid = np.array([0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9])
         params = CostParams()
         for _ in range(20):
             trajs = [pool[i] for i in rng.integers(0, len(pool), size=K)]
-            cols = [rng.permutation(grid) if rng.random() < 0.7
-                    else np.full_like(grid, rng.choice(grid)) for _ in range(K)]
-            got = priced(trajs, [c.reshape((9,) + (1,) * K) for c in cols], params, geom.r_in)
+            cols = np.array([rng.permutation(grid) if rng.random() < 0.7
+                             else np.full_like(grid, rng.choice(grid)) for _ in range(K)])
+            got = priced(trajs, cols, params, geom.r_in)
+            assert got.shape == (K, 9) + (5,) * K
             for b in range(9):
-                want = priced(trajs, [float(c[b]) for c in cols], params, geom.r_in)
-                for g, one in zip(got, want):
-                    assert g.shape == (9,) + (5,) * K
-                    assert np.array_equal(g[b], one)
+                one = priced(trajs, cols[:, b].tolist(), params, geom.r_in)
+                assert np.array_equal(got[:, b], one)
+
+    @pytest.mark.parametrize("K", [1, 2, 3, 4])
+    def test_weight_matrix_columns_equal_reference(self, geom, K):
+        # every player's tensor of every column of a (K, B) weight matrix, strategy axes in
+        # ascending id order, equals the reference priced with that column alone
+        pool = rollout_pool(geom, 4)
+        rng = np.random.default_rng(40 + K)
+        params = CostParams()
+        for _ in range(15):
+            trajs = [pool[i] for i in rng.integers(0, len(pool), size=K)]
+            w = rng.choice([0.0, 0.1, 0.5, 0.9, 1.0], size=(K, 6))
+            got = priced(trajs, w, params, geom.r_in)
+            assert got.shape == (K, 6) + (5,) * K
+            for b in range(6):
+                want = reference_payoff_tensors(trajs, w[:, b].tolist(), params, geom.r_in)[0]
+                for p in range(K):
+                    assert want[p].shape == got[p, b].shape
+                    assert np.array_equal(got[p, b], want[p])
 
     def test_unequal_alphabets_rejected(self, geom):
         # speed rows and pair rows of two alphabets cannot make one game, and

@@ -109,6 +109,8 @@ class TestReferenceBitIdentity:
             order = rng.permutation(K).tolist()
             prof = tensor_equilibrium(costs, order)
             assert prof.shape == (B, K)
+            # the stacked (K, B, S, ..., S) form payoff_tensors returns solves the same
+            assert np.array_equal(tensor_equilibrium(np.stack(costs), order), prof)
             for b in range(B):
                 want_prof, want_pay = reference_tensor_equilibrium([c[b] for c in costs], order)
                 assert tuple(prof[b].tolist()) == want_prof

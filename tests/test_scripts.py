@@ -2,6 +2,7 @@
 statistics of the benchmark pair comparison, imported."""
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -84,3 +85,26 @@ class TestBenchPairs:
         assert bench_pairs.src_sha256(tmp_path) == first
         (pkg / "a.py").write_text("x = 2\n")
         assert bench_pairs.src_sha256(tmp_path) != first
+
+    @pytest.mark.parametrize("correct, exit_code", [(False, 1), (True, 2), (True, 0)])
+    def test_exits_1_naming_a_run_that_failed(self, bench_pairs, tmp_path, monkeypatch, capsys,
+                                              correct, exit_code):
+        spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+        metrics = {m["name"]: {"value": 1.0} for m in spec["end_to_end"]}
+
+        def fake_run_bench(checkout, workload, seed, seconds):
+            bad = checkout.name == "change" and seed == 8
+            return {"result": {"correct": correct or not bad, "metrics": metrics},
+                    "info": {"summary_sha256": "x"}, "exit_code": exit_code if bad else 0}
+
+        monkeypatch.setattr(bench_pairs, "run_bench", fake_run_bench)
+        for side in ("parent", "change"):
+            (tmp_path / side).mkdir()
+        code = bench_pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                                 "--workload", "dense8", "--pairs", "3", "--seed", "7"])
+        out, err = capsys.readouterr()
+        if correct and exit_code == 0:
+            assert code == 0 and err == "" and "all correct: True" in out
+        else:
+            assert code == 1 and "all correct: False" in out
+            assert "change dense8 seed 8" in err and "seed 7" not in err
