@@ -9,8 +9,11 @@ of the medians, the pairs the change won and lost by the metric's ``better``
 direction (ties count for neither), and whether the medians differ by more
 than the parent's quartile distance.  It also says whether the simulated
 outcomes (``summary_sha256`` and the outcome metrics) were identical on every
-seed.  ``--out`` writes every run's full report (result, env and info blocks),
-the summary and each checkout's ``src_sha256`` (a digest of its ``src/``
+seed, and prints each side's median of the minor page faults a benchmark
+process took (``minor_faults``: ``RUSAGE_CHILDREN``'s ``ru_minflt`` after its
+run less before, which counts the process and the children it waited for).
+``--out`` writes every run's full report (result, env and info blocks, exit
+code and minor faults), the summary and each checkout's ``src_sha256`` (a digest of its ``src/``
 files, which names the measured code even when the checkout is uncommitted)
 to one JSON file, by convention ``BENCH_<n>.json`` at the repository root.
 It exits 1, naming the side, workload and seed on stderr, when any run was
@@ -23,6 +26,7 @@ not ``correct`` or exited non-zero::
 import argparse
 import hashlib
 import json
+import resource
 import statistics
 import subprocess
 import sys
@@ -33,17 +37,21 @@ OUTCOMES = ("avg_min_distance_m", "avg_mission_time_s")
 
 
 def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One ``--trace 0`` run in ``checkout``: the report it writes, plus its exit code."""
+    """One ``--trace 0`` run in ``checkout``: the report it writes, plus its exit code and the
+    minor page faults of its process."""
     report = checkout / ".bench_out" / f"{workload}-seed{seed}-trace0.json"
     report.unlink(missing_ok=True)
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     proc = subprocess.run([sys.executable, "bench/run_bench.py", "--workload", workload,
                            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
                           cwd=checkout, capture_output=True, text=True)
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - faults
     if not report.is_file():
         raise RuntimeError(f"{checkout}: {workload} seed {seed} wrote no report "
                            f"(exit {proc.returncode}):\n{proc.stderr}")
     out = json.loads(report.read_text())
     out["exit_code"] = proc.returncode
+    out["minor_faults"] = faults
     return out
 
 
@@ -101,6 +109,8 @@ def run_workload(parent: Path, change: Path, workload: str, pairs: int, seed: in
                                       zip(sides["parent"], sides["change"])),
             "all_correct": all(r["result"]["correct"] and r["exit_code"] == 0
                                for runs in sides.values() for r in runs),
+            "minor_faults_median": {side: statistics.median(r["minor_faults"] for r in runs)
+                                    for side, runs in sides.items()},
             **sides}
 
 
@@ -124,6 +134,9 @@ def print_workload(name: str, res: dict) -> None:
         ratio = "-" if s["ratio"] is None else f"{s['ratio']:.3f}"
         print(f"  {metric:20s} {cells[0]:>30s} {cells[1]:>30s} {ratio:>7s}"
               f" {s['wins']:4d} {s['losses']:4d} {s['beyond_parent_iqr']}")
+    faults = res["minor_faults_median"]
+    print(f"  minor page faults per run, median: parent {faults['parent']:g}, "
+          f"change {faults['change']:g}")
 
 
 def main(argv=None) -> int:

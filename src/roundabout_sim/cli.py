@@ -186,8 +186,8 @@ class TraceFormatError(ValueError):
 
 def trace_stats(path: str, diameter: float = VEHICLE_DIAMETER) -> RunStats:
     """One run's stats from its trace file alone, by :func:`_row_stats`.  A bad name, header, row
-    length or status, a non-finite ``t``, ``r`` or ``theta``, or a vehicle without a finite own
-    weight raises :class:`TraceFormatError`."""
+    length or status, a non-finite ``t``, ``r`` or ``theta``, or a vehicle without an own weight
+    in [0, 1] raises :class:`TraceFormatError`."""
     name = os.path.basename(path)
     if _TRACE_NAME.match(name) is None:
         raise TraceFormatError(f"{name}: trace files are named run_<seed>.csv")
@@ -219,8 +219,8 @@ def trace_stats(path: str, diameter: float = VEHICLE_DIAMETER) -> RunStats:
         raise TraceFormatError(f"{name}: {exc}")
     if not rows:
         raise TraceFormatError(f"{name}: no data rows")
-    if not all(math.isfinite(self_w.get(row[1], math.nan)) for row in rows):
-        raise TraceFormatError(f"{name}: a vehicle never lists a finite own weight")
+    if not all(0.0 <= self_w.get(row[1], math.nan) <= 1.0 for row in rows):
+        raise TraceFormatError(f"{name}: a vehicle never lists an own weight in [0, 1]")
     return _row_stats(rows, self_w, diameter)
 
 

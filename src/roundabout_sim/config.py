@@ -36,6 +36,7 @@ the config ``seed`` key, then 42.  Run *i* of a row uses ``base_seed + i``.
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 import re
 from dataclasses import dataclass, field
@@ -90,15 +91,23 @@ def _bool(s: str) -> bool:
     raise ValueError(f"expected a boolean, got {s!r}")
 
 
+def _float(s: str) -> float:
+    # every float key is a finite quantity, and NaN slips past the dataclasses' range checks
+    x = float(s)
+    if not math.isfinite(x):
+        raise ValueError(f"expected a finite number, got {s!r}")
+    return x
+
+
 def _float_tuple(s: str) -> Tuple[float, ...]:
     parts = [p.strip() for p in s.split(",")]
     if parts == [""]:
         return ()
-    return tuple(float(p) for p in parts)
+    return tuple(_float(p) for p in parts)
 
 
 # converter per field annotation (annotations are postponed, so strings)
-_CONVERTERS = {"int": _int, "float": float, "bool": _bool, "tuple": _float_tuple}
+_CONVERTERS = {"int": _int, "float": _float, "bool": _bool, "tuple": _float_tuple}
 _RENAMED = {"lam": "lambda"}  # field -> config key, where they differ
 
 

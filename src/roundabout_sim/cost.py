@@ -167,6 +167,16 @@ def _joint_index(K: int, S: int):
     return speed, pairs
 
 
+@functools.lru_cache(maxsize=8)
+def _joint_buffers(K: int, SK: int, h: int):
+    """Scratch arrays of ``_nearest_safe`` for one joint shape: the running best and the current
+    rank's ``(gap, cost)`` gathers, ``(2, 2, K, SK, h)`` each, their side-wise comparison mask,
+    and the ``(K, SK, h)`` discounted stage costs."""
+    joint = (2, 2, K, SK, h)
+    return (np.empty(joint), np.empty(joint), np.empty(joint[1:], dtype=bool),
+            np.empty((K, SK, h)))
+
+
 def _nearest_safe(sides, pairs: np.ndarray, wts: np.ndarray) -> np.ndarray:
     """Every player's discounted safety cost over the joint strategy space: ``(K, S**K)``.
 
@@ -178,15 +188,28 @@ def _nearest_safe(sides, pairs: np.ndarray, wts: np.ndarray) -> np.ndarray:
     ascending id order, which keeps the first (lowest-id) tie like argmin.
     The horizon stays the contiguous last axis of the discounted sum, which
     fixes its addition order.
+
+    The joint arrays live across calls, one set per shape (``_joint_buffers``),
+    and only the returned sum is new, so nothing a call returns points into
+    them; calls must not overlap, and a process prices one game at a time.  A
+    four-player game's gathers are 320 KB each, large enough that the
+    allocator hands freed ones back to the kernel, so fresh arrays cost every
+    such game its page faults again.  ``take`` fills them with
+    ``mode="clip"``, since under the default ``"raise"`` it gathers into a
+    temporary first; clipping changes nothing because every index of
+    ``_joint_index(K, S)`` is below ``K(K-1) S S``, the block count that
+    ``payoff_tensors`` checks ``sides`` against.
     """
     blocks = sides.reshape(2, 2, -1, sides.shape[-1])
-    best_gap, best_cost = np.take(blocks, pairs[0], axis=2)
+    best, cur, less, stage = _joint_buffers(*pairs.shape[1:], blocks.shape[-1])
+    np.take(blocks, pairs[0], axis=2, out=best, mode="clip")
     for i in pairs[1:]:
-        gap, cost = np.take(blocks, i, axis=2)
-        m = gap < best_gap
-        np.copyto(best_gap, gap, where=m)
-        np.copyto(best_cost, cost, where=m)
-    return (np.maximum(best_cost[0], best_cost[1]) * wts).sum(axis=-1)
+        np.take(blocks, i, axis=2, out=cur, mode="clip")
+        np.less(cur[0], best[0], out=less)
+        np.copyto(best, cur, where=less)
+    np.maximum(best[1, 0], best[1, 1], out=stage)
+    stage *= wts
+    return stage.sum(axis=-1)
 
 
 def payoff_tensors(speed: np.ndarray, w, sides: np.ndarray, params: CostParams) -> np.ndarray:

@@ -145,6 +145,7 @@ class TestReports:
             "run_99999994.csv": header + "0.0,0,40.0,0.0,5.0,entre,0.0,0=0.5,0\n",  # status
             "run_99999993.csv": header + "0.0,0,40.0,nan,5.0,enter,0.0,0=0.5,0\n",  # theta
             "run_99999992.csv": header + "0.0,0,40.0,0.0,5.0,enter,0.0,0=nan,0\n",  # weight
+            "run_99999991.csv": header + "0.0,0,40.0,0.0,5.0,enter,0.0,0=2.5,0\n",  # weight > 1
         }
         for fname, text in bad.items():
             (sub / fname).write_text(text)
@@ -158,11 +159,12 @@ class TestReports:
 
     @pytest.mark.parametrize("field, value", [
         (5, "entre"), (5, ""), (0, "nan"), (2, "inf"), (3, "nan"), (3, "-inf"),
-        (7, "0=0.5;1=nan")])
+        (7, "0=0.5;1=nan"), (7, "0=0.5;1=2.5"), (7, "0=0.5;1=-0.1")])
     def test_rows_outside_the_trace_format_raise(self, tmp_path, field, value):
         # a misspelt status or a non-finite coordinate would otherwise read as a
         # run without collision and with an infinite minimum distance; a nan own
-        # weight would stop summarize in the aggressiveness buckets
+        # weight would stop summarize in the aggressiveness buckets, and one outside
+        # [0, 1] would skew the average weight without a warning
         rows = [["0.0", "0", "40.0", "0.0", "5.0", "enter", "0.0", "0=0.5;1=0.5", "0"],
                 ["0.0", "1", "40.0", "3.0", "5.0", "enter", "0.0", "0=0.5;1=0.5", "0"]]
         path = tmp_path / "run_00000001.csv"

@@ -101,6 +101,17 @@ class TestErrors:
             parse_config(text)
         assert fragment in str(err.value)
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("sim", "delta", "nan"), ("sim", "removal_margin", "inf"), ("cost", "v_l", "nan"),
+        ("cost", "E_inf", "inf"), ("agent", "eps_dev", "nan"), ("agent", "deadlock_accel", "inf"),
+        ("geometry", "r_in", "nan"), ("sim", "vehicle_diameter", "nan"),
+        ("cost", "D", "-inf"), ("agent", "w_grid", "0.2, nan"),
+        ("game", "strategy_accels", "-inf, 0, 2")])
+    def test_non_finite_floats_rejected_by_key(self, section, key, value):
+        # a range check such as x <= 0.0 is False for NaN, so the converter rejects it
+        with pytest.raises(ConfigError, match=f"line 2: bad value for {key!r}: expected a finite"):
+            parse_config(f"[{section}]\n{key} = {value}\n")
+
     def test_semantic_error_names_the_invariant(self):
         with pytest.raises(ConfigError, match=r"lam must be in \(0, 1\)"):
             parse_config("[cost]\nlambda = 1.5\n")

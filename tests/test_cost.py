@@ -22,6 +22,8 @@ from oracles import (
 )
 from roundabout_sim.cost import (
     CostParams,
+    _joint_index,
+    _nearest_safe,
     horizon_weights,
     pair_order,
     pair_sides,
@@ -324,13 +326,13 @@ class TestPayoffTensorsBitIdentity:
         assert {int(s) for s in Status} <= set(codes.tolist())
         rng = np.random.default_rng(horizon)
         params = CostParams()
-        for K in (1, 2, 3, 4):
-            for _ in range(60):
-                picks = rng.integers(0, len(pool), size=K)
-                if K > 1 and rng.random() < 0.3:
-                    picks[-1] = picks[0]  # coincident vehicles: gap exactly 0
-                w = rng.choice([0.0, 0.1, 0.5, 0.9, 1.0], size=K).tolist()
-                self.assert_same([pool[i] for i in picks], w, params, geom.r_in)
+        # game sizes in shuffled order, so the kernel's per-shape buffers alternate
+        for K in rng.permutation(np.repeat([1, 2, 3, 4], 60)).tolist():
+            picks = rng.integers(0, len(pool), size=K)
+            if K > 1 and rng.random() < 0.3:
+                picks[-1] = picks[0]  # coincident vehicles: gap exactly 0
+            w = rng.choice([0.0, 0.1, 0.5, 0.9, 1.0], size=K).tolist()
+            self.assert_same([pool[i] for i in picks], w, params, geom.r_in)
 
     def test_ring_neighbourhoods(self, geom):
         # dense same-path traffic: every window, range and wall branch fires
@@ -399,6 +401,34 @@ class TestPayoffTensorsBitIdentity:
                 for p in range(K):
                     assert want[p].shape == got[p, b].shape
                     assert np.array_equal(got[p, b], want[p])
+
+    def test_results_outlive_the_kernel_buffers(self, geom):
+        # the nearest-neighbour kernel reuses its joint-space arrays across calls;
+        # neither its result nor the game's cost array may be one of them
+        pool = rollout_pool(geom, 4)
+        params = CostParams()
+
+        def safe(trajs):
+            table = stack(trajs)
+            return _nearest_safe(pair_sides(table, *pairs_with_reverse(4), params, geom.r_in),
+                                 _joint_index(4, 5)[1], horizon_weights(params.lam, 4))
+
+        first = [priced(pool[:4], [0.5] * 4, params, geom.r_in), safe(pool[:4])]
+        kept = [a.copy() for a in first]
+        second = [priced(pool[4:8], [0.5] * 4, params, geom.r_in), safe(pool[4:8])]
+        for a, k, b in zip(first, kept, second):
+            assert np.array_equal(a, k) and not np.array_equal(a, b)
+            assert not np.shares_memory(a, b)
+
+    @pytest.mark.parametrize("S", [2, 5])
+    @pytest.mark.parametrize("K", [1, 2, 3, 4])
+    def test_joint_indices_cover_exactly_the_rows(self, K, S):
+        # the kernel gathers with mode="clip", which is exact only while every
+        # index lies inside the K(K-1) S S pair blocks and the K S speed rows
+        speed, pairs = _joint_index(K, S)
+        assert speed.shape == (K, S**K) and pairs.size == (K - 1) * K * S**K
+        assert np.array_equal(np.unique(speed), np.arange(K * S))
+        assert np.array_equal(np.unique(pairs), np.arange(K * (K - 1) * S * S))
 
     def test_unequal_alphabets_rejected(self, geom):
         # speed rows and pair rows of two alphabets cannot make one game, and

@@ -87,24 +87,42 @@ class TestBenchPairs:
         assert bench_pairs.src_sha256(tmp_path) != first
 
     @pytest.mark.parametrize("correct, exit_code", [(False, 1), (True, 2), (True, 0)])
-    def test_exits_1_naming_a_run_that_failed(self, bench_pairs, tmp_path, monkeypatch, capsys,
+    def test_exits_1_naming_a_run_that_failed(self, bench_pairs, tmp_path, capsys,
                                               correct, exit_code):
+        # each checkout's bench/run_bench.py is a stand-in that writes a report the
+        # way the benchmark does; the change side's run of seed 8 is the bad one
         spec = json.loads((ROOT / "BENCHMARK.json").read_text())
         metrics = {m["name"]: {"value": 1.0} for m in spec["end_to_end"]}
-
-        def fake_run_bench(checkout, workload, seed, seconds):
-            bad = checkout.name == "change" and seed == 8
-            return {"result": {"correct": correct or not bad, "metrics": metrics},
-                    "info": {"summary_sha256": "x"}, "exit_code": exit_code if bad else 0}
-
-        monkeypatch.setattr(bench_pairs, "run_bench", fake_run_bench)
+        stand_in = f"""import json, sys
+from pathlib import Path
+args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
+workload, seed = args["--workload"], int(args["--seed"])
+bad = Path.cwd().name == "change" and seed == 8
+out = Path(".bench_out") / f"{{workload}}-seed{{seed}}-trace0.json"
+out.parent.mkdir(exist_ok=True)
+out.write_text(json.dumps({{"result": {{"correct": {correct} or not bad, "metrics": {metrics!r}}},
+                            "info": {{"summary_sha256": "x"}}}}))
+sys.exit({exit_code} if bad else 0)
+"""
         for side in ("parent", "change"):
-            (tmp_path / side).mkdir()
+            (tmp_path / side / "bench").mkdir(parents=True)
+            (tmp_path / side / "bench" / "run_bench.py").write_text(stand_in)
+        report = tmp_path / "pairs.json"
         code = bench_pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"),
-                                 "--workload", "dense8", "--pairs", "3", "--seed", "7"])
+                                 "--workload", "dense8", "--pairs", "3", "--seed", "7",
+                                 "--out", str(report)])
         out, err = capsys.readouterr()
         if correct and exit_code == 0:
             assert code == 0 and err == "" and "all correct: True" in out
         else:
             assert code == 1 and "all correct: False" in out
             assert "change dense8 seed 8" in err and "seed 7" not in err
+        # every run records the minor page faults of its process, and each side's median prints
+        res = json.loads(report.read_text())["workloads"]["dense8"]
+        for side in ("parent", "change"):
+            faults = [r["minor_faults"] for r in res[side]]
+            assert all(isinstance(f, int) and f > 0 for f in faults)
+            assert res["minor_faults_median"][side] == sorted(faults)[1]
+        medians = res["minor_faults_median"]
+        assert (f"minor page faults per run, median: parent {medians['parent']:g}, "
+                f"change {medians['change']:g}") in out
