@@ -129,17 +129,23 @@ def pair_sides(table, ego, other, rev, params: CostParams, r_in: float) -> np.nd
     """
     theta, rho, stat = table.theta, table.rho, table.status
     _, reach, coef, wall = _tables(params, theta.shape[-1])
-    gap = (theta[other][:, None] - theta[ego][:, :, None]) % TWO_PI
-    d = np.hypot(r_in * gap, np.abs(rho[ego][:, :, None] - rho[other][:, None]))
-    gap = np.array([gap, gap[rev].transpose(0, 2, 1, 3)])
-    d = np.array([d, d[rev].transpose(0, 2, 1, 3)])
-    code = 3 * stat[ego][:, :, None] + stat[other][:, None]
+    # take on index arrays, not fancy indexing: a list index measured 2-5x the gather's time
+    # on a step's few rows, and the lookups by int8 ``code`` 1.4x
+    ego, other, rev = (np.asarray(rows, np.intp) for rows in (ego, other, rev))
+    gap = (theta.take(other, axis=0)[:, None] - theta.take(ego, axis=0)[:, :, None]) % TWO_PI
+    d = np.hypot(r_in * gap, np.abs(rho.take(ego, axis=0)[:, :, None]
+                                    - rho.take(other, axis=0)[:, None]))
+    gap = np.array([gap, gap.take(rev, axis=0).transpose(0, 2, 1, 3)])
+    d = np.array([d, d.take(rev, axis=0).transpose(0, 2, 1, 3)])
+    code = 3 * stat.take(ego, axis=0)[:, :, None] + stat.take(other, axis=0)[:, None]
 
     # in place where it is free: a whole step's pairs make these arrays a run's memory peak
-    skip = ~((d < reach[code]) & (gap > _WINDOW_LO) & (gap <= _WINDOW_HI))
-    val = coef[code] * (params.D - d) ** 2
-    val += np.where(d <= wall[code], params.E_inf, 0.0)
-    gap[skip], val[skip] = np.inf, 0.0
+    skip = ~((d < reach.take(code)) & (gap > _WINDOW_LO) & (gap <= _WINDOW_HI))
+    val = coef.take(code) * (params.D - d) ** 2
+    val += np.where(d <= wall.take(code), params.E_inf, 0.0)
+    # putmask, not a boolean-mask store, which measured 2.3x its time on these arrays
+    np.putmask(gap, skip, np.inf)
+    np.putmask(val, skip, 0.0)
     return np.array([gap, val])
 
 
@@ -164,7 +170,7 @@ def _joint_index(K: int, S: int):
     speed = np.arange(K)[:, None] * S + digits
     pairs = np.array([[((p * (K - 1) + r) * S + digits[p]) * S + digits[r + (r >= p)]
                        for p in range(K)] for r in range(K - 1)], dtype=np.intp)
-    return speed, pairs
+    return speed, pairs.reshape(K - 1, K, S**K)
 
 
 @functools.lru_cache(maxsize=8)

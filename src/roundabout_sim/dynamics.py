@@ -27,8 +27,9 @@ exactly ``v' = v`` and ``s' = s + v*delta`` (``v + 0*delta`` is ``v``, the
 stop branch is a 0 mask times a finite number, and the added zeros change no
 bit), so the coasting arclens are one in-place cumulative sum of
 ``v1*delta`` along the stage axis.  numpy accumulates it left to right: the
-same additions in the same order as stepping stage by stage.  Status takes
-one hysteresis pass per stage.  All later stage arclens map to poses with a
+same additions in the same order as stepping stage by stage.  Status comes
+from one pass over all stages (``_status_run``), the same codes as iterating
+the hysteresis stage by stage.  All later stage arclens map to poses with a
 single ``NavigationPath.pose_batch`` call over the batch's distinct paths.
 Stage 0 comes from the scalar ``pose``, as in ``step``; later stages stay on
 ``pose_batch`` because numpy's ``arctan2`` and ``hypot`` differ from libm's
@@ -75,7 +76,7 @@ class Configuration:
 
 # plain ints: an enum attribute lookup would dominate a scalar status update, and
 # comparing an array with an enum member costs several times a plain int
-_ENTER, _INSIDE = int(Status.ENTER), int(Status.INSIDE)
+_ENTER, _INSIDE, _EXIT = int(Status.ENTER), int(Status.INSIDE), int(Status.EXIT)
 _STATUS = tuple(Status)  # by code
 
 
@@ -88,6 +89,29 @@ def advance_status(status, rho, threshold):
     """
     return (status + ((status == _ENTER) & (rho <= threshold))
             + ((status == _INSIDE) & (rho > threshold)))
+
+
+def _status_run(start, rho, threshold):
+    """``advance_status`` iterated along the last axis, in one pass: int8 codes ``(..., h)``.
+
+    ``rho`` holds the centre distances of stages ``1..h-1``; ``start`` (the
+    codes of stage 0) and ``threshold`` broadcast against it, a last axis of
+    1 included.  A vehicle has entered by stage ``t`` if it started past
+    enter or was in the disc at some stage up to ``t``; it has left by ``t``
+    if it started exited or was out of the disc at some stage whose previous
+    stage had entered.  Its code is the sum of the two running ors.  "Out"
+    is "not in", which differs from ``advance_status`` only at a NaN
+    distance, and ``pose_batch`` returns none.
+    """
+    inside = np.empty(rho.shape[:-1] + (rho.shape[-1] + 1,), dtype=bool)
+    inside[..., :1] = start != _ENTER
+    np.less_equal(rho, threshold, out=inside[..., 1:])
+    entered = np.logical_or.accumulate(inside, axis=-1)
+    left = np.empty_like(inside)
+    left[..., :1] = start == _EXIT
+    np.greater(entered[..., :-1], inside[..., 1:], out=left[..., 1:])  # entered, now out
+    np.logical_or.accumulate(left, axis=-1, out=left)
+    return np.add(entered, left, dtype=np.int8)
 
 
 def _check_inputs(v: float, delta: float) -> None:
@@ -165,9 +189,7 @@ def rollout(requests: Sequence[tuple], accels: Sequence[float], horizon: int, de
     np.cumsum(arc[:, :, 1:], axis=-1, out=arc[:, :, 1:])
     rho[:, :, 1:], theta[:, :, 1:], _ = NavigationPath.pose_batch(
         list(paths), which[:, None, None], arc[:, :, 1:])
-    status = np.empty(arc.shape, dtype=np.int8)
-    status[:, :, 0] = np.array([int(req[3]) for req in requests])[:, None]
-    thr = np.array([path.r_in + diameter for path, *_ in requests])[:, None]
-    for tau in range(1, horizon):
-        status[:, :, tau] = advance_status(status[:, :, tau - 1], rho[:, :, tau], thr)
+    status = _status_run(np.array([int(req[3]) for req in requests])[:, None, None],
+                         rho[:, :, 1:],
+                         np.array([path.r_in + diameter for path, *_ in requests])[:, None, None])
     return Rollout(theta=theta, rho=rho, v=v, status=status)

@@ -215,8 +215,10 @@ class NavigationPath:
         if not np.all(s >= 0.0):  # also rejects NaN
             raise ValueError("arclen must be non-negative")
         starts, first, table = _stack(tuple(paths))
-        idx = first[which] + (starts[which] <= s[..., None]).sum(axis=-1)
-        s0, kind, label, _, ax, ay, bx, by, radius, psi0, orient = table[:, idx]
+        # take, not fancy indexing: on a step's few points an index on a non-leading axis
+        # measured 2.5x the time of the gather
+        idx = first.take(which) + (starts.take(which, axis=0) <= s[..., None]).sum(axis=-1)
+        s0, kind, label, _, ax, ay, bx, by, radius, psi0, orient = table.take(idx, axis=1)
         t = s - s0
         psi = psi0 + orient * t / radius
         line = kind == _LINE

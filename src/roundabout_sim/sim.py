@@ -85,7 +85,7 @@ class Vehicle:
     removed: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TraceRow:
     """One vehicle-step: pre-move state plus the action committed for it.
 

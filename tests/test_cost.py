@@ -426,7 +426,7 @@ class TestPayoffTensorsBitIdentity:
         # the kernel gathers with mode="clip", which is exact only while every
         # index lies inside the K(K-1) S S pair blocks and the K S speed rows
         speed, pairs = _joint_index(K, S)
-        assert speed.shape == (K, S**K) and pairs.size == (K - 1) * K * S**K
+        assert speed.shape == (K, S**K) and pairs.shape == (K - 1, K, S**K)
         assert np.array_equal(np.unique(speed), np.arange(K * S))
         assert np.array_equal(np.unique(pairs), np.arange(K * (K - 1) * S * S))
 

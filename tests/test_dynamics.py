@@ -8,7 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import all_paths, boundary_arclens, build_strategies, reference_rollout, update_status
-from roundabout_sim.dynamics import Configuration, _advance, rollout, step
+from roundabout_sim.dynamics import (
+    Configuration,
+    _advance,
+    _status_run,
+    advance_status,
+    rollout,
+    step,
+)
 from roundabout_sim.game import DEFAULT_ACCELS
 from roundabout_sim.geometry import (
     Maneuver,
@@ -133,6 +140,30 @@ class TestStatus:
             x = step(x, a, 0.25, path)
             assert x.status >= prev
             prev = x.status
+
+
+    @pytest.mark.parametrize("horizon", range(2, 9))
+    def test_one_pass_equals_iterated_hysteresis(self, horizon):
+        # every start code against every in/out pattern of stages 1..h-1, on the
+        # threshold itself (in) and one ulp above it (out)
+        thr = 24.5
+        inside = np.indices((2,) * (horizon - 1)).reshape(horizon - 1, -1).T.astype(bool)
+        rho = np.where(inside, thr, math.nextafter(thr, math.inf))
+        for start in Status:
+            got = _status_run(np.full((len(rho), 1), int(start)), rho, thr)
+            assert got.dtype == np.int8 and got.shape == (len(rho), horizon)
+            for pattern, row in zip(rho, got):
+                want = [int(start)]
+                for r in pattern:
+                    want.append(advance_status(want[-1], r, thr))
+                assert row.tolist() == want
+
+    def test_one_pass_broadcasts_start_and_threshold_per_row(self):
+        # the rollout's layout: a start code and a threshold per request, shared by its strategies
+        rho = np.array([[[24.0, 26.0], [26.0, 24.0]], [[30.0, 30.0], [20.0, 20.0]]])
+        start = np.array([Status.ENTER, Status.INSIDE]).reshape(2, 1, 1)
+        got = _status_run(start, rho, np.array([25.0, 24.0]).reshape(2, 1, 1))
+        assert got.tolist() == [[[0, 1, 2], [0, 0, 1]], [[1, 2, 2], [1, 1, 1]]]
 
 
 class TestRollout:

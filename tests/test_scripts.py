@@ -4,6 +4,7 @@ statistics of the benchmark pair comparison, imported."""
 import importlib.util
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -37,6 +38,29 @@ class TestScripts:
         again = run([str(ROOT / "scripts" / "summarize_traces.py"), "camp/traces"], tmp_path)
         assert again[0].startswith("n=4: 1 runs, 0 collisions")
         assert len([line for line in again if line.startswith("n=")]) == 5
+
+
+class TestAbInproc:
+    def test_one_tree_against_itself(self, tmp_path):
+        lines = run([str(ROOT / "scripts" / "ab_inproc.py"), str(ROOT), str(ROOT), "--n", "2",
+                     "--seeds", "5-6", "--repeats", "2"], tmp_path)
+        assert lines[0] == "n=2, seeds 5-6, 2 repeats: 4 pairs, rows identical"
+        assert lines[2].startswith("  speedup parent/change: total ")
+        assert lines[2].endswith(" of 4")
+
+    def test_rows_that_differ_exit_1_naming_the_run(self, tmp_path):
+        # a copy whose control period differs moves every position of every run
+        shutil.copytree(ROOT / "src", tmp_path / "src",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        sim = tmp_path / "src" / "roundabout_sim" / "sim.py"
+        text = sim.read_text()
+        assert "delta: float = 0.25" in text
+        sim.write_text(text.replace("delta: float = 0.25", "delta: float = 0.2"))
+        out = subprocess.run([sys.executable, str(ROOT / "scripts" / "ab_inproc.py"), str(ROOT),
+                              str(tmp_path), "--n", "2", "--seeds", "5", "--repeats", "1"],
+                             cwd=tmp_path, capture_output=True, text=True, timeout=300)
+        assert out.returncode == 1 and out.stdout == ""
+        assert "rows differ: n=2 seed 5" in out.stderr
 
 
 class TestBenchmark:

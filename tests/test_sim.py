@@ -5,12 +5,14 @@ import math
 import pytest
 
 from roundabout_sim.cost import CostParams
-from roundabout_sim.game import GameParams
+from roundabout_sim.game import DEFAULT_ACCELS, GameParams
 from roundabout_sim.geometry import RoundaboutSpec, Status, build_roundabout
 from roundabout_sim.sim import (
     SimParams,
     W_CHOICES,
+    _cruise_accel,
     init_scenario,
+    min_pairwise,
     run_simulation,
 )
 
@@ -154,6 +156,28 @@ class TestFollowerYields:
                                    a.r * math.sin(a.theta) - b.r * math.sin(b.theta))
                     best = min(best, d)
         assert r.min_distance == pytest.approx(best)
+
+
+class TestHelpers:
+    def test_cruise_accel_takes_the_fastest_speed_within_the_limit(self):
+        # v=12: -50 stops, -10 reaches 9.5, coasting keeps 12 > v_l = 11
+        assert _cruise_accel(12.0, CP.v_l, SP.delta, DEFAULT_ACCELS) == -10.0
+        assert _cruise_accel(CP.v_l, CP.v_l, SP.delta, DEFAULT_ACCELS) == 0.0  # at the limit
+        assert _cruise_accel(0.0, CP.v_l, SP.delta, DEFAULT_ACCELS) == 30.0
+
+    def test_cruise_accel_falls_back_to_the_lowest_speed(self):
+        # v=30: no input gets to 11 in one step, and -50 ends slowest (17.5)
+        assert _cruise_accel(30.0, CP.v_l, SP.delta, DEFAULT_ACCELS) == -50.0
+        assert _cruise_accel(30.0, CP.v_l, SP.delta, (0.0, 10.0, 30.0)) == 0.0
+
+    def test_min_pairwise_keeps_the_first_pair_on_a_tie(self):
+        # on the x axis at 0, 1 and 2: pairs (0, 1) and (1, 2) are both 1 apart
+        assert min_pairwise([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)]) == (1.0, (0, 1))
+        assert min_pairwise([(0.0, 0.0), (2.0, 0.0), (2.5, 0.0)]) == (0.5, (1, 2))
+
+    def test_min_pairwise_of_fewer_than_two_positions(self):
+        assert min_pairwise([]) == (math.inf, None)
+        assert min_pairwise([(20.0, 1.0)]) == (math.inf, None)
 
 
 class TestTermination:
