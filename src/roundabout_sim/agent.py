@@ -230,16 +230,23 @@ def prepare_step(views, cost_params: CostParams, game_params: GameParams,
     one), after ``update_estimates``.  One call each rolls out the games'
     distinct keys (``rollout``), prices their rows (``speed_sums``) and every
     game's ordered pairs, deduplicated by their two rows (``pair_sides``); a
-    step whose games are all one-player prices no pair."""
+    step whose games are all one-player prices no pair.  A neighbour's rollout
+    starts posed at its projection, ego's at its configuration, which
+    ``init_scenario`` or ``step`` posed at its arclen with the same ``pose``."""
     slot, rows, games = {}, {}, {}
     for state, obs, ego_path in views:
         keys = _game_keys(state, obs, ego_path, agent_params.player_cap)
         ks = [slot.setdefault(key, len(slot)) for key in keys.values()]
         games[state.vid] = keys, ks, [rows.setdefault((ks[p], ks[q]), len(rows))
                                       for p, q in zip(*pair_order(len(ks)))]
-    arclen = [path.project(*c.xy())[0] if c.arclen is None else c.arclen for path, c in slot]
-    table = rollout([(path, s, c.v, c.status) for (path, c), s in zip(slot, arclen)],
-                    game_params.strategy_accels, game_params.horizon, delta, diameter)
+    requests = []
+    for path, c in slot:
+        s, rho, theta = c.arclen, c.r, c.theta
+        if s is None:
+            s = path.project(*c.xy())[0]
+            rho, theta, _ = path.pose(s)
+        requests.append((path, s, c.v, rho, theta, c.status))
+    table = rollout(requests, game_params.strategy_accels, game_params.horizon, delta, diameter)
     if rows:
         sides = pair_sides(table, [p for p, _ in rows], [q for _, q in rows],
                            [rows[q, p] for p, q in rows], cost_params, r_in)

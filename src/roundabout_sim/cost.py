@@ -233,15 +233,18 @@ def payoff_tensors(speed: np.ndarray, w, sides: np.ndarray, params: CostParams) 
     vector, or a ``(K, B)`` matrix with one column per game of a batch; the
     result is then ``(K, B) + (S,) * K``.
 
-    Only the nearest-neighbour selection runs in joint space.
+    Only the nearest-neighbour selection runs in joint space.  A one-player
+    game has no pair terms, so its costs are ``w * speed``, which for ``w`` in
+    [0, 1] and non-negative speeds is ``(1 - w) * 0 + w * speed`` bit for bit.
     """
     K, S = speed.shape
-    speed_at, pairs_at = _joint_index(K, S)
-    if K > 1 and sides.shape[2:5] != (K * (K - 1), S, S):
-        raise ValueError("players must share one strategy alphabet")
-    safe = (_nearest_safe(sides, pairs_at, _tables(params, sides.shape[-1])[0]) if K > 1
-            else np.zeros((1, S)))
     w = np.asarray(w, dtype=float)
+    if K == 1:
+        return w[..., None] * speed
+    speed_at, pairs_at = _joint_index(K, S)
+    if sides.shape[2:5] != (K * (K - 1), S, S):
+        raise ValueError("players must share one strategy alphabet")
+    safe = _nearest_safe(sides, pairs_at, _tables(params, sides.shape[-1])[0])
     joint = (K,) + (1,) * (w.ndim - 1) + (S,) * K  # a batch axis, if any, stays 1 here
     w = w.reshape(w.shape + (1,) * K)
     return (1.0 - w) * safe.reshape(joint) + w * speed.take(speed_at).reshape(joint)

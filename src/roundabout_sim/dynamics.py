@@ -31,7 +31,8 @@ same additions in the same order as stepping stage by stage.  Status comes
 from one pass over all stages (``_status_run``), the same codes as iterating
 the hysteresis stage by stage.  All later stage arclens map to poses with a
 single ``NavigationPath.pose_batch`` call over the batch's distinct paths.
-Stage 0 comes from the scalar ``pose``, as in ``step``; later stages stay on
+Stage 0 is the caller's, which the simulator poses with the scalar ``pose``
+as ``step`` does, so the table is the same bit for bit.  Later stages stay on
 ``pose_batch`` because numpy's ``arctan2`` and ``hypot`` differ from libm's
 in the last ulp at some points (about 3% of line and arc points sampled on
 the default geometry), so rollouts of the two kinds would not agree bit for
@@ -114,9 +115,11 @@ def _status_run(start, rho, threshold):
     return np.add(entered, left, dtype=np.int8)
 
 
-def _check_inputs(v: float, delta: float) -> None:
+def _check_inputs(s, v, delta: float) -> None:
     if delta <= 0.0:
         raise ValueError(f"delta must be positive, got {delta}")
+    if not s >= 0.0:  # also rejects NaN
+        raise ValueError(f"arclen must be non-negative, got {s}")
     if v < 0.0:
         raise ValueError(f"speed must be non-negative, got {v}")
 
@@ -137,9 +140,9 @@ def _advance(s, v, a, delta):
 def step(x: Configuration, a: float, delta: float, path: NavigationPath,
          diameter: float = VEHICLE_DIAMETER) -> Configuration:
     """Apply acceleration ``a`` for ``delta`` seconds along ``path``."""
-    _check_inputs(x.v, delta)
     if x.arclen is None:
         raise ValueError("configuration is not bound to a path position")
+    _check_inputs(x.arclen, x.v, delta)
     arclen, v_next = _advance(x.arclen, x.v, a, delta)
     rho, theta, _ = path.pose(arclen)
     status = _STATUS[advance_status(x.status, rho, path.r_in + diameter)]
@@ -152,8 +155,6 @@ class Rollout:
 
     All arrays are ``(request, strategy, stage)``, so stage 0 repeats each
     shared start state and stage 1 is the first state a strategy produces.
-    Indexing selects requests: an int gives one vehicle's arrays, a list a
-    smaller table.
     """
 
     theta: np.ndarray
@@ -161,35 +162,33 @@ class Rollout:
     v: np.ndarray
     status: np.ndarray  # int8 Status codes
 
-    def __getitem__(self, rows):
-        return Rollout(self.theta[rows], self.rho[rows], self.v[rows], self.status[rows])
-
 
 def rollout(requests: Sequence[tuple], accels: Sequence[float], horizon: int, delta: float,
             diameter: float = VEHICLE_DIAMETER) -> Rollout:
     """``step`` over every strategy of a non-empty batch: same kernel, same hysteresis.
 
-    Each request ``(path, arclen0, v0, status0)`` gets one row of the returned
-    table, in request order.  Strategy ``i`` applies the first-stage
-    acceleration ``accels[i]`` at stage 0 and coasts for the remaining
-    ``horizon - 2`` steps; that is the whole strategy space, as only the first
-    stage is ever executed.  Kinematics, status and poses run on ``(request,
-    strategy)`` arrays as the module docstring says.
+    Each request ``(path, arclen0, v0, rho0, theta0, status0)``, its stage 0
+    posed as ``path.pose(arclen0)``, gets one row of the returned table, in
+    request order; the paths share one ``r_in`` and so one status threshold.
+    Strategy ``i`` applies the first-stage acceleration ``accels[i]`` at stage
+    0 and coasts for the remaining ``horizon - 2`` steps: the whole strategy
+    space, as only the first stage is ever executed.
     """
     paths = {}
-    which = np.array([paths.setdefault(path, len(paths)) for path, *_ in requests])
-    arc, v, rho, theta = np.empty((4, len(requests), len(accels), horizon))
-    arc[:, :, 0], v[:, :, 0] = np.array([req[1:3] for req in requests], dtype=float).T[:, :, None]
-    _check_inputs(float(v[:, 0, 0].min()), delta)
-    for k, (path, arclen0, _, _) in enumerate(requests):
-        rho[k, :, 0], theta[k, :, 0], _ = path.pose(float(arclen0))
+    which = np.array([paths.setdefault(req[0], len(paths)) for req in requests])
+    start = np.array([req[1:] for req in requests], dtype=float).T  # arclen, v, rho, theta, code
+    r_in = {path.r_in for path in paths}
+    if len(r_in) != 1:
+        raise ValueError("a batch's paths must share one r_in")
+    _check_inputs(*start[:2].min(axis=1).tolist(), delta)  # min propagates a NaN
+    table = np.empty((4, len(requests), len(accels), horizon))
+    table[..., 0] = start[:4, :, None]
+    arc, v, rho, theta = table
     arc[:, :, 1], v[:, :, 1] = _advance(arc[:, :, 0], v[:, :, 0], np.array(accels, float), delta)
     v[:, :, 2:] = v[:, :, 1:2]
     arc[:, :, 2:] = v[:, :, 1:2] * delta
     np.cumsum(arc[:, :, 1:], axis=-1, out=arc[:, :, 1:])
     rho[:, :, 1:], theta[:, :, 1:], _ = NavigationPath.pose_batch(
         list(paths), which[:, None, None], arc[:, :, 1:])
-    status = _status_run(np.array([int(req[3]) for req in requests])[:, None, None],
-                         rho[:, :, 1:],
-                         np.array([path.r_in + diameter for path, *_ in requests])[:, None, None])
+    status = _status_run(start[4, :, None, None], rho[:, :, 1:], r_in.pop() + diameter)
     return Rollout(theta=theta, rho=rho, v=v, status=status)

@@ -70,12 +70,14 @@ def tensor_equilibrium(costs, order: Sequence[int]):
     One transpose and one gather put the players and their strategy axes into
     decision order in one contiguous copy, so each induction level is one
     ``argmin`` over the last axis (the first minimum wins) and one flat
-    gather of the earlier movers.
+    gather of the earlier movers; a one-player game is its row's first argmin.
     """
     costs = np.asarray(costs)
     K = len(costs)
     if sorted(order) != list(range(K)):
         raise ValueError("order must be a permutation of the player axes")
+    if costs.ndim == 2:  # K = 1 without a batch axis
+        return (int(costs[0].argmin()),)
     lead = [1] if costs.ndim == K + 2 else []
     staged = costs.transpose([0] + lead + [1 + len(lead) + a for a in order]).take(order, axis=0)
     mover, rest = staged[-1], staged[:-1]

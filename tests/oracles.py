@@ -9,7 +9,8 @@ equilibrium per candidate weight for the estimator.  The production code must
 agree with them bit for bit.  ``SequentialGame`` and ``solve`` walk the game
 tree through a payoff callable, an independent check of the tensor solver.
 ``decide_alone`` and ``pairs_with_reverse`` drive the package's step API one
-decision or one game at a time.
+decision or one game at a time; ``rollout_request`` and ``table_rows`` build a
+``rollout`` request and select rows of its table.
 
 The scalar stage costs (``phi_front``, ``phi_back``, ``phi_safe``,
 ``phi_speed``, ``step_cost``) and neighbour selection (``front_back``) are
@@ -25,7 +26,7 @@ import numpy as np
 
 from roundabout_sim.agent import decide, prepare_step
 from roundabout_sim.cost import CostParams, horizon_weights, pair_order
-from roundabout_sim.dynamics import VEHICLE_DIAMETER, Configuration, advance_status
+from roundabout_sim.dynamics import VEHICLE_DIAMETER, Configuration, Rollout, advance_status
 from roundabout_sim.game import DEFAULT_ACCELS, order_players
 from roundabout_sim.geometry import (
     _ARC,
@@ -298,6 +299,19 @@ def reference_rollout(path, arclen0, v0, status0, accels, delta,
     return theta, rho, vel, status, arc
 
 
+def rollout_request(path, arclen0, v0, status0):
+    """A ``rollout`` request whose stage-0 pose is the scalar ``path.pose(arclen0)``, the pose
+    the simulator gives a bound configuration and a projected neighbour."""
+    rho0, theta0, _ = path.pose(arclen0)
+    return path, arclen0, v0, rho0, theta0, status0
+
+
+def table_rows(table, rows):
+    """Requests ``rows`` of a ``Rollout`` table: an int gives one vehicle's ``(S, h)`` arrays,
+    a list a smaller table."""
+    return Rollout(table.theta[rows], table.rho[rows], table.v[rows], table.status[rows])
+
+
 def all_paths(geom):
     """Every navigation path and every hypothesis path of ``geom``."""
     kinds = [PathKind(m, a) for m in Maneuver for a in range(geom.spec.ways)]
@@ -489,7 +503,7 @@ def reference_reestimate(state, j, obs_j, cost_params, agent_params, delta, r_in
     """The estimator's weight fit on the frozen game: one equilibrium per weight."""
     ids = sorted((state.vid, j))
     keys, slots, _ = state.prep.games[state.vid]  # the game's rows of the step, by id
-    rolls = {vid: state.prep.table[slots[list(keys).index(vid)]] for vid in ids}
+    rolls = {vid: table_rows(state.prep.table, slots[list(keys).index(vid)]) for vid in ids}
     _, safe, speed = reference_payoff_tensors([rolls[v] for v in ids], [0.0, 0.0],
                                               cost_params, r_in)
     axis_of = {vid: k for k, vid in enumerate(ids)}

@@ -6,7 +6,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import decide_alone, pairs_with_reverse, reference_nearest_entry, reference_reestimate
+from oracles import (
+    decide_alone,
+    pairs_with_reverse,
+    reference_nearest_entry,
+    reference_reestimate,
+    rollout_request,
+    table_rows,
+)
 from roundabout_sim import agent, sim
 from roundabout_sim.agent import (
     AgentParams,
@@ -226,7 +233,7 @@ class TestReestimateOracle:
             got = batched(state, j, obs_j, cost_params, agent_params, delta)
             keys, slots, _ = state.prep.games[state.vid]
             ids = sorted((state.vid, j))
-            two = state.prep.table[[slots[list(keys).index(v)] for v in ids]]
+            two = table_rows(state.prep.table, [slots[list(keys).index(v)] for v in ids])
             alone = StepPrep(two, {state.vid: ({v: keys[v] for v in ids}, [0, 1], [0, 1])},
                              speed_sums(two, cost_params),
                              pair_sides(two, *pairs_with_reverse(2), cost_params, geom.r_in))
@@ -259,7 +266,7 @@ class TestFrozenGame:
             keys, slots, rows = state.prep.games[state.vid]
             ids = sorted(d.profile)
             assert list(keys) == ids and sorted(state.order) == ids
-            game = state.prep.table[slots]
+            game = table_rows(state.prep.table, slots)
             # the game's row k of the step's table is player ids[k]'s rollout, rolled out alone
             for k, vid in enumerate(ids):
                 c = obs[vid]
@@ -268,8 +275,9 @@ class TestFrozenGame:
                 else:
                     path = state.est_path[vid]
                     s = path.project(*c.xy())[0]
-                fresh = rollout([(path, s, c.v, c.status)], game_params.strategy_accels,
-                                game_params.horizon, SP.delta, SP.vehicle_diameter)
+                fresh = rollout([rollout_request(path, s, c.v, c.status)],
+                                game_params.strategy_accels, game_params.horizon, SP.delta,
+                                SP.vehicle_diameter)
                 for name in ("theta", "rho", "v", "status"):
                     got, want = getattr(game, name)[k], getattr(fresh, name)[0]
                     assert got.dtype == want.dtype and got.shape == want.shape
@@ -388,9 +396,10 @@ class TestStagedStep:
         # the call shape the traced benchmark pins: pairs and speed rows are priced
         # only while a step is prepared, pairs once per step that holds a pair and not
         # at all on a step of one-player games, speed rows once per step; payoff_tensors
-        # runs once per decision with that game's K speed rows and once per
-        # re-estimation with 2
+        # and then tensor_equilibrium run once per decision with that game's K speed rows
+        # and K cost tensors, one-player games included, and once per re-estimation with 2
         real_sides, real_payoff = agent.pair_sides, agent.payoff_tensors
+        real_solve = agent.tensor_equilibrium
         real_speed = agent.speed_sums
         real_prep, real_update, real_decide = sim.prepare_step, sim.update_estimates, sim.decide
         real_reestimate = agent._reestimate
@@ -399,19 +408,21 @@ class TestStagedStep:
         per_step = []     # (holds a pair, pair-kernel calls) of each step's preparation
         speed_passes = [] # the pass of each speed_sums call
         priced = []       # (pass, K) of each payoff_tensors call
-        shapes = []       # (K of each payoff_tensors call made, game's K) per decision
-                          # or re-estimation
+        solved = []       # (pass, shape of the costs) of each tensor_equilibrium call
+        shapes = []       # (K of each payoff_tensors call made, K of each solve, game's K)
+                          # per decision or re-estimation
 
         def within(name, real, record=None):
             def wrapped(*args):
                 stack.append(name)
-                before = len(priced)
+                before, solves = len(priced), len(solved)
                 try:
                     out = real(*args)
                 finally:
                     stack.pop()
                 if record:
-                    shapes.append(([k for _, k in priced[before:]], record(out)))
+                    shapes.append(([k for _, k in priced[before:]],
+                                   [shape[0] for _, shape in solved[solves:]], record(out)))
                 return out
             return wrapped
 
@@ -422,6 +433,9 @@ class TestStagedStep:
         monkeypatch.setattr(agent, "payoff_tensors",
                             lambda speed, *args: priced.append((stack[-1], len(speed)))
                             or real_payoff(speed, *args))
+        monkeypatch.setattr(agent, "tensor_equilibrium",
+                            lambda costs, *args: solved.append((stack[-1], np.shape(costs)))
+                            or real_solve(costs, *args))
         def staged(*args):
             before = len(kernel)
             prep = within("prepare", real_prep)(*args)
@@ -447,8 +461,13 @@ class TestStagedStep:
         reestimates = sum(p == "reestimate" for p, _ in priced)
         assert decisions > 1000 and reestimates > 100
         assert len(shapes) == decisions + reestimates
-        assert all(ks == [k] for ks, k in shapes)
-        assert {k for ks, _ in shapes for k in ks} == {1, 2, 3, 4}
+        assert all(ks == [k] and solves == [k] for ks, solves, k in shapes)
+        assert {k for ks, _, _ in shapes for k in ks} == {1, 2, 3, 4}
+        # one-player games keep both calls, each on one row: the benchmark counts games by them
+        S = len(GP.strategy_accels)
+        assert [p for p, _ in solved] == [p for p, _ in priced]
+        assert sum(k == 1 for _, k in priced) > 100
+        assert all(shape == (1, S) for (_, k), (_, shape) in zip(priced, solved) if k == 1)
 
 
 class TestDecide:
@@ -500,7 +519,7 @@ class TestDecide:
         decide_alone(state, obs, geom.circle, geom, P, GP, AP, DELTA)
         # the game's rows of the step's table, in id order
         keys, slots, _ = state.prep.games[0]
-        game = state.prep.table[slots]
+        game = table_rows(state.prep.table, slots)
         assert list(keys) == [0, 1] and game.v[0, 0, 0] == 6.0 and game.v[1, 0, 0] == 3.0
         assert set(state.pred_xy) == {1}
         assert sorted(state.order) == [0, 1]

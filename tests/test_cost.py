@@ -18,8 +18,12 @@ from oracles import (
     phi_safe,
     phi_speed,
     reference_payoff_tensors,
+    reference_tensor_equilibrium,
+    rollout_request,
     step_cost,
+    table_rows,
 )
+from roundabout_sim.agent import DEFAULT_W_GRID
 from roundabout_sim.cost import (
     CostParams,
     _joint_index,
@@ -31,8 +35,9 @@ from roundabout_sim.cost import (
     speed_sums,
 )
 from roundabout_sim.dynamics import Configuration, Rollout, rollout, step
-from roundabout_sim.game import DEFAULT_ACCELS
+from roundabout_sim.game import DEFAULT_ACCELS, tensor_equilibrium
 from roundabout_sim.geometry import Maneuver, PathKind, RoundaboutSpec, Status, build_roundabout
+from roundabout_sim.sim import W_CHOICES
 
 P = CostParams()
 
@@ -243,7 +248,8 @@ class TestPayoffTensors:
             st0 = Status.ENTER if rho0 > geom.r_in + 4.5 else Status.INSIDE
             paths.append(path)
             starts.append((s0, v0, st0))
-            trajs.append(rollout([(path, s0, v0, st0)], DEFAULT_ACCELS, horizon, delta)[0])
+            trajs.append(table_rows(rollout([rollout_request(path, s0, v0, st0)],
+                                            DEFAULT_ACCELS, horizon, delta), 0))
             w.append(data.draw(st.sampled_from([0.1, 0.5, 0.9])))
         costs = priced(trajs, w, params, geom.r_in)
         # w = 0 and w = 1 read the safety and speed terms out exactly
@@ -269,7 +275,7 @@ class TestRolloutCoherence:
         strategies = build_strategies(horizon=4)
         rho0, theta0, _ = path.pose(s0)
         st0 = Status.ENTER if rho0 > geom.r_in + 4.5 else Status.INSIDE
-        R = rollout([(path, s0, v0, st0)], DEFAULT_ACCELS, 4, 0.25)[0]
+        R = table_rows(rollout([rollout_request(path, s0, v0, st0)], DEFAULT_ACCELS, 4, 0.25), 0)
         for i, seq in enumerate(strategies):
             c = Configuration(r=rho0, theta=theta0, v=v0, status=st0, arclen=s0)
             for tau in range(1, 4):
@@ -299,7 +305,8 @@ def rollout_pool(geom, horizon, delta=0.25):
         rho0, _, label = path.pose(s0)
         st0 = Status.ENTER if label == Status.ENTER else (
             Status.EXIT if label == Status.EXIT and rho0 > thr else Status.INSIDE)
-        pool.append(rollout([(path, s0, v0, st0)], DEFAULT_ACCELS, horizon, delta)[0])
+        pool.append(table_rows(rollout([rollout_request(path, s0, v0, st0)], DEFAULT_ACCELS,
+                                       horizon, delta), 0))
     return pool
 
 
@@ -342,8 +349,9 @@ class TestPayoffTensorsBitIdentity:
         for offsets in [(0.0, 0.0), (0.0, 4.0, 8.0), (0.0, 5.9, 6.0, 6.1),
                         (0.0, 30.0, 60.0, 90.0), (0.0, 0.0, 3.0, 3.0)]:
             for path in (circle, entry):
-                trajs = [rollout([(path, 10.0 + o, 7.0, path.pose(10.0 + o)[2])],
-                                 DEFAULT_ACCELS, 4, 0.25)[0] for o in offsets]
+                trajs = [table_rows(rollout([rollout_request(path, 10.0 + o, 7.0,
+                                                             path.pose(10.0 + o)[2])],
+                                            DEFAULT_ACCELS, 4, 0.25), 0) for o in offsets]
                 self.assert_same(trajs, [0.5] * len(trajs), params, geom.r_in)
 
     @pytest.mark.parametrize("horizon", [4, 9])
@@ -433,7 +441,8 @@ class TestPayoffTensorsBitIdentity:
     def test_unequal_alphabets_rejected(self, geom):
         # speed rows and pair rows of two alphabets cannot make one game, and
         # one rollout table, which both kernels read, cannot hold two alphabets
-        requests = [(geom.circle, 0.0, 5.0, Status.INSIDE), (geom.circle, 9.0, 5.0, Status.INSIDE)]
+        requests = [rollout_request(geom.circle, 0.0, 5.0, Status.INSIDE),
+                    rollout_request(geom.circle, 9.0, 5.0, Status.INSIDE)]
         five = rollout(requests, DEFAULT_ACCELS, 4, 0.25)
         three = rollout(requests, (-10.0, 0.0, 10.0), 4, 0.25)
         for a, b in ((five, three), (three, five)):
@@ -441,7 +450,68 @@ class TestPayoffTensorsBitIdentity:
                 payoff_tensors(speed_sums(a, P), [0.5, 0.5],
                                pair_sides(b, *pairs_with_reverse(2), P, geom.r_in), P)
         with pytest.raises(ValueError):
-            stack([five[0], three[1]])
+            stack([table_rows(five, 0), table_rows(three, 1)])
+
+
+class TestOnePlayerGames:
+    """A one-player game's costs are its weighted speed row, with no joint space built."""
+
+    WEIGHTS = sorted({0.0, 1.0, *DEFAULT_W_GRID, *W_CHOICES})
+
+    def test_bit_equal_to_reference_and_to_the_blend(self, geom):
+        # a standstill start ties both brakes and coasting; coasting at exactly v_l costs 0
+        extra = [table_rows(rollout([rollout_request(geom.circle, 5.0, v0, Status.INSIDE)],
+                                    DEFAULT_ACCELS, 4, 0.25), 0) for v0 in (0.0, P.v_l)]
+        rows = []
+        for traj in rollout_pool(geom, 4) + extra:
+            speed = speed_sums(stack([traj]), P)
+            rows.append(speed[0])
+            for w in self.WEIGHTS:
+                got = priced([traj], [w], P, geom.r_in)
+                want = reference_payoff_tensors([traj], [w], P, geom.r_in)[0][0]
+                blend = (1.0 - w) * np.zeros((1, 5)) + w * speed
+                assert got.shape == blend.shape == (1, 5) and got.dtype == blend.dtype
+                assert got.tobytes() == blend.tobytes() == want.tobytes()
+        assert any(len(set(row.tolist())) < len(row) for row in rows)  # tied entries
+        assert any(0.0 in row.tolist() for row in rows)                 # zero entries
+
+    @staticmethod
+    def merged_pair(w):
+        """Adjacent speeds ``a < b`` near 1.9 that ``w`` rounds to one cost, or None."""
+        a = 1.9
+        for _ in range(100):
+            b = math.nextafter(a, 2.0)
+            if w * a == w * b:
+                return a, b
+            a = b
+        return None
+
+    def test_first_minimum_of_the_weighted_row(self):
+        # rows with ties and zeros, and, where the weight merges two adjacent speeds
+        # a < b, rows holding b before a: the first minimum of the weighted row is then
+        # not the first minimum of the speed row
+        no_pairs = np.empty((2, 2, 0, 5, 5, 4))
+        merged = 0
+        for w in self.WEIGHTS:
+            rows = [[0.0, 0.0, 3.0, 3.0, 1.0], [4.0, 2.0, 2.0, 0.0, 0.0], [5.0] * 5, [0.0] * 5]
+            pair = self.merged_pair(w)
+            if pair:
+                a, b = pair
+                rows += [[b, a, a, b, 7.0], [2.0, b, a, 1.0 + a, b]]
+                merged += 1
+            for row in rows:
+                speed = np.array([row])
+                costs = payoff_tensors(speed, [w], no_pairs, P)
+                blend = (1.0 - w) * np.zeros((1, 5)) + w * speed
+                assert costs.tobytes() == blend.tobytes()
+                prof = tensor_equilibrium(costs, [0])
+                assert prof == reference_tensor_equilibrium(costs, [0])[0]
+                assert prof == (int(np.argmin(blend[0])),) and type(prof[0]) is int
+            if pair and w:
+                assert tensor_equilibrium(payoff_tensors(np.array([rows[-2]]), [w], no_pairs,
+                                                         P), [0]) == (0,)
+                assert np.argmin(rows[-2]) == 1
+        assert merged >= len(self.WEIGHTS) - 2  # all but 0.5 and 1.0, which scale exactly
 
 
 class TestStepPairKernel:

@@ -7,7 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import all_paths, boundary_arclens, build_strategies, reference_rollout, update_status
+from oracles import (
+    all_paths,
+    boundary_arclens,
+    build_strategies,
+    reference_rollout,
+    rollout_request,
+    table_rows,
+    update_status,
+)
 from roundabout_sim.dynamics import (
     Configuration,
     _advance,
@@ -78,6 +86,13 @@ class TestStep:
         with pytest.raises(ValueError):
             step(Configuration(r=20.0, theta=0.0, v=-1.0, status=Status.INSIDE, arclen=0.0),
                  0.0, 0.25, path)
+
+    def test_rejects_a_negative_or_nan_start_arclen(self, geom):
+        # rollout's start check: from -0.1 m at 10 m/s the step itself would end past 0
+        for s0 in (-0.1, math.nan):
+            x = Configuration(r=20.0, theta=0.0, v=10.0, status=Status.INSIDE, arclen=s0)
+            with pytest.raises(ValueError, match="arclen"):
+                step(x, 0.0, 0.25, geom.circle)
 
     @given(v=st.floats(0.0, 15.0), a=st.floats(-50.0, 30.0),
            s=st.floats(0.0, 120.0))
@@ -178,7 +193,8 @@ class TestRollout:
                 label = path.pose(s0)[2]
                 for v0 in (0.0, 1.0, 7.3, 14.0):
                     for st0 in {label, Status.ENTER}:
-                        got = rollout([(path, s0, v0, st0)], DEFAULT_ACCELS, horizon, 0.25)[0]
+                        got = table_rows(rollout([rollout_request(path, s0, v0, st0)],
+                                                 DEFAULT_ACCELS, horizon, 0.25), 0)
                         ref = reference_rollout(path, s0, v0, st0, schedule, 0.25)
                         for name, want in zip(("theta", "rho", "v", "status"), ref):
                             arr = getattr(got, name)
@@ -202,7 +218,9 @@ class TestRollout:
         checked = 0
         for lo, hi in zip(cuts, cuts[1:]):
             batch = [requests[k] for k in order[lo:hi]]
-            for req, got in zip(batch, rollout(batch, DEFAULT_ACCELS, 4, 0.25), strict=True):
+            table = rollout([rollout_request(*req) for req in batch], DEFAULT_ACCELS, 4, 0.25)
+            for k, req in zip(range(len(table.theta)), batch, strict=True):
+                got = table_rows(table, k)
                 ref = reference_rollout(*req, schedule, 0.25)
                 for name, want in zip(("theta", "rho", "v", "status"), ref):
                     arr = getattr(got, name)
@@ -225,7 +243,8 @@ class TestRollout:
         stopped = 0
         for lo, hi in ((0, 1), (1, 7), (7, len(requests))):
             batch = requests[lo:hi]
-            table = rollout(batch, DEFAULT_ACCELS, horizon, 0.25)
+            table = rollout([rollout_request(*req) for req in batch], DEFAULT_ACCELS, horizon,
+                            0.25)
             for k, (path, s0, v0, _) in enumerate(batch):
                 for i, a in enumerate(DEFAULT_ACCELS):
                     s, v = _advance(s0, v0, a, 0.25)
@@ -257,20 +276,41 @@ class TestRollout:
         # the later stages of the whole batch, over its distinct paths in first-seen order
         paths = [geom.circle, geom.paths[PathKind(Maneuver.GO_STRAIGHT, 0)]]
         calls = self.count_pose_batch(monkeypatch)
-        requests = [(paths[k % 2], 10.0 + k, 8.0, Status.INSIDE) for k in range(5)]
+        requests = [rollout_request(paths[k % 2], 10.0 + k, 8.0, Status.INSIDE)
+                    for k in range(5)]
         assert rollout(requests, DEFAULT_ACCELS, 4, 0.25).theta.shape == (5, 5, 4)
         assert calls == [(paths, (5, 5, 3))]
 
     def test_one_pose_batch_per_rollout(self, geom, monkeypatch):
         path = geom.paths[PathKind(Maneuver.GO_STRAIGHT, 0)]
         calls = self.count_pose_batch(monkeypatch)
-        rollout([(path, 10.0, 8.0, Status.ENTER)], DEFAULT_ACCELS, 4, 0.25)
+        rollout([rollout_request(path, 10.0, 8.0, Status.ENTER)], DEFAULT_ACCELS, 4, 0.25)
         assert calls == [([path], (1, 5, 3))]
 
     def test_rejects_bad_delta_and_speed(self, geom):
         path = geom.circle
         for delta in (0.0, -0.25):
             with pytest.raises(ValueError, match="delta"):
-                rollout([(path, 0.0, 5.0, Status.INSIDE)], DEFAULT_ACCELS, 4, delta)
+                rollout([rollout_request(path, 0.0, 5.0, Status.INSIDE)], DEFAULT_ACCELS, 4,
+                        delta)
         with pytest.raises(ValueError, match="speed"):
-            rollout([(path, 0.0, -1.0, Status.INSIDE)], DEFAULT_ACCELS, 4, 0.25)
+            rollout([rollout_request(path, 0.0, -1.0, Status.INSIDE)], DEFAULT_ACCELS, 4, 0.25)
+
+    def test_rejects_a_negative_or_nan_start_arclen_on_any_request(self, geom):
+        # stage 0 comes posed from the caller, so nothing poses the start arclen; from -0.1 m
+        # at 10 m/s every strategy's stage 1 lies past 0, where pose_batch would pose it
+        path = geom.circle
+        good = rollout_request(path, 5.0, 10.0, Status.INSIDE)
+        for s0 in (-0.1, math.nan):
+            bad = (path, s0) + good[2:]
+            for batch in ([bad], [good, bad], [good, good, bad, good]):
+                with pytest.raises(ValueError, match="arclen"):
+                    rollout(batch, DEFAULT_ACCELS, 4, 0.25)
+
+    def test_rejects_paths_of_two_radii(self, geom):
+        # one status threshold, r_in + diameter, serves the whole batch
+        other = build_roundabout(RoundaboutSpec(r_in=25.0))
+        batch = [rollout_request(g.circle, 5.0, 8.0, Status.INSIDE) for g in (geom, other)]
+        with pytest.raises(ValueError, match="r_in"):
+            rollout(batch, DEFAULT_ACCELS, 4, 0.25)
+        assert rollout(batch[:1] * 2, DEFAULT_ACCELS, 4, 0.25).status.shape == (2, 5, 4)

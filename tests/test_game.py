@@ -83,6 +83,13 @@ class TestDeterminism:
         with pytest.raises(ValueError):
             tensor_equilibrium(c, order=[0, 0])
 
+    def test_one_player_takes_the_first_minimum(self):
+        for row in ([3.0, 1.0, 1.0, 2.0], [0.0, 0.0], [2.0, 1.0, 0.0, 0.0, 0.0]):
+            prof = tensor_equilibrium(np.array([row]), [0])
+            assert prof == (row.index(min(row)),) and type(prof[0]) is int
+        with pytest.raises(ValueError):
+            tensor_equilibrium(np.array([[1.0, 0.0]]), order=[1])
+
 
 class TestReferenceBitIdentity:
     """Stacked induction equals per-tensor gathers exactly, ties included."""

@@ -2,8 +2,10 @@
 
 import math
 
+import numpy as np
 import pytest
 
+from roundabout_sim import sim
 from roundabout_sim.cost import CostParams
 from roundabout_sim.game import DEFAULT_ACCELS, GameParams
 from roundabout_sim.geometry import RoundaboutSpec, Status, build_roundabout
@@ -69,6 +71,38 @@ class TestInitScenario:
         vehicles, _ = init_scenario(8, geom, 2, SimParams(spawn_spacing=4.5), CP)
         lead, trail = vehicles[0].config, vehicles[4].config
         assert lead.arclen - trail.arclen == 4.5
+
+
+class TestBoundConfigurations:
+    def test_posed_at_their_arclen_bit_for_bit(self, geom, monkeypatch):
+        # agent.prepare_step hands a vehicle's bound (r, theta) to rollout as its stage 0
+        # instead of posing its arclen again: the same bits only while spawning and every
+        # move pose a bound configuration with the scalar pose at its arclen
+        real_init, real_step = sim.init_scenario, sim.step
+        checked = []
+
+        def check(config, path):
+            posed = np.array(path.pose(config.arclen)[:2])
+            assert np.array([config.r, config.theta]).tobytes() == posed.tobytes()
+            checked.append(config)
+
+        def init(*args):
+            vehicles, agents = real_init(*args)
+            for veh in vehicles.values():
+                check(veh.config, veh.path)
+            return vehicles, agents
+
+        def stepped(x, a, delta, path, diameter):
+            out = real_step(x, a, delta, path, diameter)
+            check(out, path)
+            return out
+
+        monkeypatch.setattr(sim, "init_scenario", init)
+        monkeypatch.setattr(sim, "step", stepped)
+        for n in (4, 8):
+            for seed in range(42, 52):
+                run_simulation(n, seed, geom)
+        assert len(checked) > 5000
 
 
 class TestSingleVehicle:
