@@ -11,7 +11,8 @@ runs are digested (every ``TraceRow`` field, plus collision, minimum
 distance, mission steps and censoring) and must be equal; a mismatch names
 the run and exits 1.  It prints the total time ratio (parent / change, so
 above 1 means the change is faster), the median of the per-pair ratios and
-the pairs the change won::
+the pairs the change won, then the per-pair ratios' quartiles (inclusive
+method), whose spread says how far the total and the median can be trusted::
 
     python3 scripts/ab_inproc.py ../parent . --n 4 --seeds 400-439 --repeats 4
 
@@ -108,9 +109,13 @@ def compare(pkgs, n: int, seeds: range, repeats: int) -> int:
     print(f"n={n}, seeds {seeds[0]}-{seeds[-1]}, {repeats} repeats: "
           f"{len(ratios)} pairs, rows identical")
     print(f"  total s: parent {totals['parent']:.3f}, change {totals['change']:.3f}")
+    med = statistics.median(ratios)
+    q1, _, q3 = (statistics.quantiles(ratios, n=4, method="inclusive") if len(ratios) > 1
+                 else ratios * 3)
     print(f"  speedup parent/change: total {totals['parent'] / totals['change']:.3f}x, "
-          f"median per pair {statistics.median(ratios):.3f}x, "
+          f"median per pair {med:.3f}x, "
           f"change won {sum(r > 1.0 for r in ratios)} of {len(ratios)}")
+    print(f"  per-pair ratio quartiles: q1 {q1:.3f}x, median {med:.3f}x, q3 {q3:.3f}x")
     return 0
 
 

@@ -41,13 +41,14 @@ stay reproducible.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, NamedTuple, Optional
 
 import numpy as np
 
-from .cost import CostParams, pair_order, pair_sides, payoff_tensors, speed_sums
+from .cost import CostParams, pair_order, pair_safety, pair_sides, payoff_tensors, speed_sums
 from .dynamics import VEHICLE_DIAMETER, Configuration, Rollout, rollout
 from .dynamics import step  # unused: bench/run_bench.py --trace 1 patches agent.step
 from .game import GameParams, order_players, tensor_equilibrium
@@ -56,9 +57,10 @@ from .geometry import TWO_PI, Geometry, NavigationPath, Status
 DEFAULT_W_GRID = tuple(round(0.1 * k, 1) for k in range(1, 10))
 #: ``prepare_step``'s output: ``table`` and ``speed`` have a row per distinct key of the step;
 #: ``games`` maps a decider to its players' keys by id, their rows and its pairs' rows
-#: (``pair_order``) on axis 2 of ``sides``
+#: (``pair_order``), which index axis 2 of ``sides`` and axis 0 of ``safe``, each pair's
+#: ``pair_safety`` and so the safety term of a two-player game
 StepPrep = NamedTuple("StepPrep", [("table", Rollout), ("games", dict), ("speed", np.ndarray),
-                                   ("sides", np.ndarray)])
+                                   ("sides", np.ndarray), ("safe", np.ndarray)])
 
 __all__ = [
     "AgentParams",
@@ -177,7 +179,21 @@ def _next_arm_ahead(theta, arm_angles, grace=0.3):
 
 
 def _nearest_entry(observed: Configuration, geometry: Geometry) -> NavigationPath:
-    x, y = observed.xy()
+    return _nearest_entry_at(geometry, observed.r, observed.theta)
+
+
+@functools.lru_cache(maxsize=64)
+def _nearest_entry_at(geometry: Geometry, r: float, theta: float) -> NavigationPath:
+    """The entry hypothesis nearest to the observed position ``(r, theta)``, first minimum wins.
+
+    A pure function of the position and the geometry, which hashes by identity,
+    so the one scan serves every observer of a vehicle in a step, a stopped
+    vehicle from step to step and a spawn pose from run to run; the bound keeps
+    a campaign's ever-new positions from piling up.  Float keys merge 0.0 and
+    -0.0, which no ``pose`` returns: its theta is wrapped with ``%`` and its rho
+    is a distance.
+    """
+    x, y = r * math.cos(theta), r * math.sin(theta)  # as ``Configuration.xy``
     best = None
     for h in geometry.entry_hypotheses.values():
         d2 = h.project(x, y)[1]
@@ -229,8 +245,10 @@ def prepare_step(views, cost_params: CostParams, game_params: GameParams,
     ``views`` holds ``(state, obs, ego_path)`` per deciding vehicle (at least
     one), after ``update_estimates``.  One call each rolls out the games'
     distinct keys (``rollout``), prices their rows (``speed_sums``) and every
-    game's ordered pairs, deduplicated by their two rows (``pair_sides``); a
-    step whose games are all one-player prices no pair.  A neighbour's rollout
+    game's ordered pairs, deduplicated by their two rows (``pair_sides``),
+    then sums each pair's safety cost (``pair_safety``), which every
+    two-player game and re-estimation reads instead of the sides; a step
+    whose games are all one-player prices no pair.  A neighbour's rollout
     starts posed at its projection, ego's at its configuration, which
     ``init_scenario`` or ``step`` posed at its arclen with the same ``pose``."""
     slot, rows, games = {}, {}, {}
@@ -250,10 +268,11 @@ def prepare_step(views, cost_params: CostParams, game_params: GameParams,
     if rows:
         sides = pair_sides(table, [p for p, _ in rows], [q for _, q in rows],
                            [rows[q, p] for p, q in rows], cost_params, r_in)
+        safe = pair_safety(sides, cost_params)
     else:  # every game is one-player
         S = len(game_params.strategy_accels)
-        sides = np.empty((2, 2, 0, S, S, game_params.horizon))
-    return StepPrep(table, games, speed_sums(table, cost_params), sides)
+        sides, safe = np.empty((2, 2, 0, S, S, game_params.horizon)), np.empty((0, S, S))
+    return StepPrep(table, games, speed_sums(table, cost_params), sides, safe)
 
 
 def decide(state: AgentState, obs: Mapping[int, Configuration], prep: StepPrep,
@@ -263,7 +282,8 @@ def decide(state: AgentState, obs: Mapping[int, Configuration], prep: StepPrep,
 
     ``update_estimates`` must have run on the same ``obs``: every neighbour's
     weight and hypothesis path are read from ``state``.  The game's rows (one
-    gather each) come from ``prep``, prepared for views that hold this one.
+    gather each) come from ``prep``, prepared for views that hold this one:
+    pair safety for two players, pair sides for more.
     Each neighbour's predicted position is the stage-1 pose of its row under
     its equilibrium strategy.
     """
@@ -272,10 +292,10 @@ def decide(state: AgentState, obs: Mapping[int, Configuration], prep: StepPrep,
     weights = {vid: state.w_agg if vid == ego_id else state.w_hat[vid] for vid in keys}
     # take, not fancy indexing: a list index measured 2.5-4x the time of the gather
     speed = prep.speed.take(slots, axis=0)
-    sides = prep.sides.take(rows, axis=2)
+    pairs = prep.sides.take(rows, axis=2) if len(slots) > 2 else prep.safe.take(rows, axis=0)
 
     order = tuple(order_players(weights))
-    profile = _play(speed, weights, order, sides, cost_params)
+    profile = _play(speed, weights, order, pairs, cost_params)
     accel = float(game_params.strategy_accels[profile[ego_id]])
 
     override = False
@@ -297,12 +317,12 @@ def decide(state: AgentState, obs: Mapping[int, Configuration], prep: StepPrep,
     return DecisionResult(accel=accel, override=override, profile=profile, weights=weights)
 
 
-def _play(speed, weights, order, sides, cost_params):
+def _play(speed, weights, order, pairs, cost_params):
     """Solve the game of ``weights``' players, moving in ``order``, over their speed rows (by id)
     and pair rows: a strategy index per player, or a list (one per game) when every weight is a
     column of ``B``.  One cost array, players by id, goes from ``payoff_tensors`` to the solver."""
     ids = sorted(weights)
-    costs = payoff_tensors(speed, [weights[v] for v in ids], sides, cost_params)
+    costs = payoff_tensors(speed, [weights[v] for v in ids], pairs, cost_params)
     prof = tensor_equilibrium(costs, [ids.index(v) for v in order if v in weights])
     return dict(zip(ids, prof.T.tolist() if isinstance(prof, np.ndarray) else prof))
 
@@ -313,20 +333,21 @@ def _reestimate(state: AgentState, j: int, obs_j: Configuration,
 
     One ``payoff_tensors`` call with a ``(2, B)`` matrix of candidate weights
     prices the games, solved as one batch, on the game frozen in ``state``:
-    nothing is priced again, ego's and ``j``'s rows of the step are selected
-    by id and the rows of ``(ego, j)`` and ``(j, ego)`` in their ``pair_order``.
+    nothing is priced again, ego's and ``j``'s speed rows of the step are
+    selected by id and the ``pair_safety`` rows of ``(ego, j)`` and ``(j,
+    ego)`` in their ``pair_order``, whatever the size of the frozen game.
     """
     keys, slots, rows = state.prep.games[state.vid]
     ids, pair = list(keys), {state.vid, j}
     ego, other = pair_order(len(ids))
     # take, not fancy indexing, as in ``decide``
-    sides = state.prep.sides.take([rows[n] for n, (p, q) in enumerate(zip(ego, other))
-                                   if {ids[p], ids[q]} == pair], axis=2)
+    safe = state.prep.safe.take([rows[n] for n, (p, q) in enumerate(zip(ego, other))
+                                 if {ids[p], ids[q]} == pair], axis=0)
     speed = state.prep.speed.take([slots[k] for k, vid in enumerate(ids) if vid in pair], axis=0)
     grid = np.array(agent_params.w_grid, dtype=float)
     w_ego = (np.full_like(grid, state.w_agg)
              if agent_params.estimator_ego_uses_true_weight else grid)
-    profile = _play(speed, {state.vid: w_ego, j: grid}, state.order, sides, cost_params)
+    profile = _play(speed, {state.vid: w_ego, j: grid}, state.order, safe, cost_params)
     v_j = state.prep.table.v[slots[ids.index(j)]]
     v_prev, v1 = v_j[0, 0], v_j[:, 1].take(profile[j])
     a_obs = (obs_j.v - v_prev) / delta

@@ -30,14 +30,18 @@ can shrink to ``D_c / sqrt(2)`` of actual separation.
 
 ``pair_sides`` prices ordered pairs of a rollout table's rows and
 ``speed_sums`` each row's speed term, so one call of each over a step's table
-serves every game of the step; ``payoff_tensors`` turns one game's speed and
-pair rows into one discounted-cost array ``(K, S, ..., S)``, a tensor per
-player with one strategy axis per player, players and axes in ascending id
-order, which the game solver consumes directly.  A ``(K, B)`` weight matrix
-adds a batch axis after the player axis, which is how the estimator prices
-one game under every candidate aggressiveness in one call.  The scalar
-per-vehicle forms of the same terms live in ``tests/oracles.py`` as the
-independent reference the tensors are checked against.
+serves every game of the step.  ``pair_safety`` sums each ordered pair's
+discounted safety cost from its sides: in a two-player game each player has
+one candidate neighbour, so that is the player's whole safety term, priced
+once per step for every two-player game and re-estimation.
+``payoff_tensors`` turns one game's speed and pair rows into one
+discounted-cost array ``(K, S, ..., S)``, a tensor per player with one
+strategy axis per player, players and axes in ascending id order, which the
+game solver consumes directly.  A ``(K, B)`` weight matrix adds a batch axis
+after the player axis, which is how the estimator prices one game under every
+candidate aggressiveness in one call.  The scalar per-vehicle forms of the
+same terms live in ``tests/oracles.py`` as the independent reference the
+tensors are checked against.
 """
 
 from __future__ import annotations
@@ -54,7 +58,8 @@ from .geometry import TWO_PI, Status
 _WINDOW_LO = np.array([-np.inf, 0.0]).reshape(2, 1, 1, 1, 1)
 _WINDOW_HI = np.array([math.pi, math.nextafter(math.pi, 0.0)]).reshape(2, 1, 1, 1, 1)
 
-__all__ = ["CostParams", "horizon_weights", "pair_sides", "speed_sums", "payoff_tensors"]
+__all__ = ["CostParams", "horizon_weights", "pair_sides", "pair_safety", "speed_sums",
+           "payoff_tensors"]
 
 
 @dataclass(frozen=True)
@@ -149,6 +154,21 @@ def pair_sides(table, ego, other, rev, params: CostParams, r_in: float) -> np.nd
     return np.array([gap, val])
 
 
+def pair_safety(sides: np.ndarray, params: CostParams) -> np.ndarray:
+    """Discounted safety cost of ordered pairs, each pair alone: ``(P, S, S)`` from ``pair_sides``.
+
+    Entry ``[n, i, j]`` is the cost to pair ``n``'s ego, playing ``i`` against
+    its other playing ``j``, of the worse of its front and back side, summed
+    over the horizon: a two-player game's safety term.  It is the same
+    ``np.maximum``, weights and sum over the contiguous horizon axis that
+    ``_nearest_safe`` applies after its selection, which a single candidate
+    leaves as is, so the two agree bit for bit.
+    """
+    stage = np.maximum(sides[1, 0], sides[1, 1])
+    stage *= _tables(params, sides.shape[-1])[0]
+    return stage.sum(axis=-1)
+
+
 def speed_sums(table, params: CostParams) -> np.ndarray:
     """Discounted speed cost of every strategy of every row of a rollout table: ``(R, S)``.  A
     row depends on its rollout alone, so one call prices a step's rollouts for all its games."""
@@ -195,6 +215,9 @@ def _nearest_safe(sides, pairs: np.ndarray, wts: np.ndarray) -> np.ndarray:
     The horizon stays the contiguous last axis of the discounted sum, which
     fixes its addition order.
 
+    ``payoff_tensors`` calls it for K >= 3 only: with one other player the
+    selection has a single candidate, which ``pair_safety`` prices directly.
+
     The joint arrays live across calls, one set per shape (``_joint_buffers``),
     and only the returned sum is new, so nothing a call returns points into
     them; calls must not overlap, and a process prices one game at a time.  A
@@ -218,33 +241,39 @@ def _nearest_safe(sides, pairs: np.ndarray, wts: np.ndarray) -> np.ndarray:
     return stage.sum(axis=-1)
 
 
-def payoff_tensors(speed: np.ndarray, w, sides: np.ndarray, params: CostParams) -> np.ndarray:
+def payoff_tensors(speed: np.ndarray, w, pairs: np.ndarray, params: CostParams) -> np.ndarray:
     """Discounted game costs over the joint strategy space: one ``(K,) + (S,) * K`` array.
 
     ``speed`` holds the ``speed_sums`` rows of the game's players, ``(K, S)``,
     *in ascending vehicle-id order* (neighbour ties resolve to the earlier
     player); all players share one strategy alphabet of size ``S``.
-    ``sides`` holds the ``pair_sides`` rows of the game's ``K(K-1)`` ordered
-    pairs in ``pair_order(K)``; a one-player game reads none.  Rows of
-    another alphabet size raise ``ValueError``.  Stages where a vehicle has
-    exited contribute no pair terms.  Entry ``p`` of the result is player
+    ``pairs`` holds the rows of the game's ``K(K-1)`` ordered pairs in
+    ``pair_order(K)``: for K = 2 their ``pair_safety`` rows, ``(2, S, S)``,
+    for K >= 3 their ``pair_sides`` rows; a one-player game reads none.  Rows
+    of another alphabet size raise ``ValueError``.  Stages where a vehicle
+    has exited contribute no pair terms.  Entry ``p`` of the result is player
     ``p``'s cost ``(1 - w[p]) * safe[p] + w[p] * speed[p]``, its strategy
     axes the players' in the same id order.  The weights ``w`` are a ``(K,)``
     vector, or a ``(K, B)`` matrix with one column per game of a batch; the
     result is then ``(K, B) + (S,) * K``.
 
-    Only the nearest-neighbour selection runs in joint space.  A one-player
-    game has no pair terms, so its costs are ``w * speed``, which for ``w`` in
-    [0, 1] and non-negative speeds is ``(1 - w) * 0 + w * speed`` bit for bit.
+    Only the nearest-neighbour selection of K >= 3 runs in joint space; a
+    two-player game gathers its safety terms from the pair rows through the
+    same joint indices.  A one-player game has no pair terms, so its costs
+    are ``w * speed``, which for ``w`` in [0, 1] and non-negative speeds is
+    ``(1 - w) * 0 + w * speed`` bit for bit.
     """
     K, S = speed.shape
     w = np.asarray(w, dtype=float)
     if K == 1:
         return w[..., None] * speed
     speed_at, pairs_at = _joint_index(K, S)
-    if sides.shape[2:5] != (K * (K - 1), S, S):
+    if (pairs.shape if K == 2 else pairs.shape[2:5]) != (K * (K - 1), S, S):
         raise ValueError("players must share one strategy alphabet")
-    safe = _nearest_safe(sides, pairs_at, _tables(params, sides.shape[-1])[0])
+    if K == 2:
+        safe = pairs.take(pairs_at[0])
+    else:
+        safe = _nearest_safe(pairs, pairs_at, _tables(params, pairs.shape[-1])[0])
     joint = (K,) + (1,) * (w.ndim - 1) + (S,) * K  # a batch axis, if any, stays 1 here
     w = w.reshape(w.shape + (1,) * K)
     return (1.0 - w) * safe.reshape(joint) + w * speed.take(speed_at).reshape(joint)

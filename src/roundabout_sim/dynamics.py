@@ -21,13 +21,13 @@ two crossing arclens.  ``advance_status`` applies it to a code or an array.
 
 ``rollout`` advances every strategy of a batch of requests (a simulation
 step's worth) at once into one ``Rollout`` table.  Only stage 1 applies a
-strategy's acceleration: one ``_advance`` call over ``(request, strategy)``
-arrays.  Every later stage coasts, and at ``a = 0`` ``_advance`` gives
-exactly ``v' = v`` and ``s' = s + v*delta`` (``v + 0*delta`` is ``v``, the
-stop branch is a 0 mask times a finite number, and the added zeros change no
-bit), so the coasting arclens are one in-place cumulative sum of
-``v1*delta`` along the stage axis.  numpy accumulates it left to right: the
-same additions in the same order as stepping stage by stage.  Status comes
+strategy's acceleration: one ``_advance`` call on the requests' ``(R, 1)``
+start columns against the ``(S,)`` alphabet.  Every later stage coasts, and
+at ``a = 0`` ``_advance`` gives exactly ``v' = v`` and ``s' = s + v*delta``
+(``v + 0*delta`` is ``v``, the stop branch is a 0 mask times a finite
+number, and the added zeros change no bit), so each coasting stage's arclen
+is one ``np.add`` of ``v1*delta`` to the stage before: the same additions in
+the same order as stepping stage by stage.  Status comes
 from one pass over all stages (``_status_run``), the same codes as iterating
 the hysteresis stage by stage.  All later stage arclens map to poses with a
 single ``NavigationPath.pose_batch`` call over the batch's distinct paths.
@@ -120,7 +120,7 @@ def _check_inputs(s, v, delta: float) -> None:
         raise ValueError(f"delta must be positive, got {delta}")
     if not s >= 0.0:  # also rejects NaN
         raise ValueError(f"arclen must be non-negative, got {s}")
-    if v < 0.0:
+    if not v >= 0.0:  # also rejects NaN
         raise ValueError(f"speed must be non-negative, got {v}")
 
 
@@ -184,10 +184,12 @@ def rollout(requests: Sequence[tuple], accels: Sequence[float], horizon: int, de
     table = np.empty((4, len(requests), len(accels), horizon))
     table[..., 0] = start[:4, :, None]
     arc, v, rho, theta = table
-    arc[:, :, 1], v[:, :, 1] = _advance(arc[:, :, 0], v[:, :, 0], np.array(accels, float), delta)
+    arc[:, :, 1], v[:, :, 1] = _advance(start[0, :, None], start[1, :, None],
+                                        np.array(accels, float), delta)
     v[:, :, 2:] = v[:, :, 1:2]
-    arc[:, :, 2:] = v[:, :, 1:2] * delta
-    np.cumsum(arc[:, :, 1:], axis=-1, out=arc[:, :, 1:])
+    coast = v[:, :, 1] * delta
+    for t in range(2, horizon):
+        np.add(arc[:, :, t - 1], coast, out=arc[:, :, t])
     rho[:, :, 1:], theta[:, :, 1:], _ = NavigationPath.pose_batch(
         list(paths), which[:, None, None], arc[:, :, 1:])
     status = _status_run(start[4, :, None, None], rho[:, :, 1:], r_in.pop() + diameter)

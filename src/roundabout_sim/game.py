@@ -21,6 +21,7 @@ the estimator replays a game under every candidate aggressiveness at once.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -56,6 +57,14 @@ def order_players(weights: Mapping[int, float]) -> list:
     return sorted(weights, key=lambda vid: (-weights[vid], vid))
 
 
+@functools.lru_cache(maxsize=32)
+def _offsets(size: int, n: int) -> np.ndarray:
+    """Flat start of each of ``size`` rows of length ``n``: one induction level's gather base."""
+    out = np.arange(0, size * n, n)
+    out.flags.writeable = False  # shared by every solve of the same shape
+    return out
+
+
 def tensor_equilibrium(costs, order: Sequence[int]):
     """Backward induction over the players' cost tensors.
 
@@ -63,14 +72,16 @@ def tensor_equilibrium(costs, order: Sequence[int]):
     it (a list of K equal-shape tensors converts): ``costs[p]`` is player
     ``p``'s cost with one axis per player, axis ``p`` its own strategy.
     ``order`` lists the players in decision order.  Returns the equilibrium
-    profile, a tuple of strategy indices by player, not by decision order.
-    A ``(K, B) + (S,) * K`` array holds ``B`` independent games of one shape;
-    the result is then a ``(B, K)`` int array of profiles.
+    profile, a tuple of plain int strategy indices by player, not by decision
+    order.  A ``(K, B) + (S,) * K`` array holds ``B`` independent games of one
+    shape; the result is then a ``(B, K)`` int array of profiles.
 
-    One transpose and one gather put the players and their strategy axes into
-    decision order in one contiguous copy, so each induction level is one
-    ``argmin`` over the last axis (the first minimum wins) and one flat
-    gather of the earlier movers; a one-player game is its row's first argmin.
+    Unless the order is ascending id, one transpose and one gather put the
+    players and their strategy axes into decision order in one contiguous
+    copy; ascending id is that order already.  Each induction level is then
+    one ``argmin`` over the last axis (the first minimum wins) and one flat
+    gather of the earlier movers, from row offsets cached per shape; a
+    one-player game is its row's first argmin.
     """
     costs = np.asarray(costs)
     K = len(costs)
@@ -79,22 +90,24 @@ def tensor_equilibrium(costs, order: Sequence[int]):
     if costs.ndim == 2:  # K = 1 without a batch axis
         return (int(costs[0].argmin()),)
     lead = [1] if costs.ndim == K + 2 else []
-    staged = costs.transpose([0] + lead + [1 + len(lead) + a for a in order]).take(order, axis=0)
+    staged = costs
+    if list(order) != list(range(K)):
+        axes = [0] + lead + [1 + len(lead) + a for a in order]
+        staged = costs.transpose(axes).take(order, axis=0)
     mover, rest = staged[-1], staged[:-1]
     picks = {}
     for k in reversed(range(K)):
         idx = mover.argmin(axis=-1)
         picks[order[k]] = idx
         if k:
-            n = mover.shape[-1]
-            flat = np.arange(0, idx.size * n, n) + idx.ravel()
+            flat = _offsets(idx.size, mover.shape[-1]) + idx.ravel()
             gathered = rest.reshape(k, -1).take(flat, axis=1).reshape((k,) + idx.shape)
             mover, rest = gathered[-1], gathered[:-1]
-    at = (np.arange(len(costs[0])),) if lead else ()
+    at = (np.arange(costs.shape[1]),) if lead else ()
     chosen = {}
     for a in order:
-        chosen[a] = picks[a][at]
+        chosen[a] = picks[a][at] if lead else picks[a].item(*at)
         at += (chosen[a],)
     if lead:
         return np.array([chosen[a] for a in range(K)]).T
-    return tuple(int(chosen[a]) for a in range(K))
+    return tuple(chosen[a] for a in range(K))

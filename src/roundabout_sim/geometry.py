@@ -212,7 +212,7 @@ class NavigationPath:
         (``_stack``) a point's segment is its path's first plus the count of its starts at or
         before it."""
         s = np.asarray(arclens, dtype=float)
-        if not np.all(s >= 0.0):  # also rejects NaN
+        if not (s >= 0.0).all():  # also rejects NaN
             raise ValueError("arclen must be non-negative")
         starts, first, table = _stack(tuple(paths))
         # take, not fancy indexing: on a step's few points an index on a non-leading axis
@@ -226,7 +226,8 @@ class NavigationPath:
         y = np.where(line, ay + t * by, ay + radius * np.sin(psi))
         circle = kind == _CIRCLE
         rho = np.where(circle, radius, np.hypot(x, y))
-        theta = np.where(circle, psi, np.arctan2(y, x)) % TWO_PI
+        theta = np.where(circle, psi, np.arctan2(y, x))
+        theta %= TWO_PI
         return rho, theta, label.astype(np.int8)
 
     def project(self, x, y):
@@ -269,9 +270,10 @@ def _point_d2(seg, t, x, y):
     return (px - x) ** 2 + (py - y) ** 2
 
 
-@dataclass
+@dataclass(eq=False)
 class Geometry:
-    """The roundabout of a spec (valid by construction), every path built once.
+    """The roundabout of a spec (valid by construction), every path built once; equal only to
+    itself, so it can key caches.
 
     ``paths`` maps each ``PathKind`` to its full navigation path.
     ``entry_hypotheses`` maps each ``PathKind`` (arm-major, then in

@@ -23,7 +23,7 @@ from roundabout_sim.agent import (
     observe,
     update_estimates,
 )
-from roundabout_sim.cost import CostParams, pair_sides, speed_sums
+from roundabout_sim.cost import CostParams, pair_safety, pair_sides, speed_sums
 from roundabout_sim.dynamics import Configuration, rollout, step
 from roundabout_sim.game import GameParams
 from roundabout_sim.geometry import (
@@ -48,8 +48,15 @@ def geom():
     return build_roundabout(RoundaboutSpec())
 
 
-def on_circle(theta, v=5.0, status=Status.INSIDE, r=20.0, arclen=None):
-    return Configuration(r=r, theta=theta, v=v, status=status, arclen=arclen)
+def on_circle(theta, v=5.0, status=Status.INSIDE, r=20.0):
+    """An observed configuration: a pose with no path coordinate."""
+    return Configuration(r=r, theta=theta, v=v, status=status)
+
+
+def posed(path, arclen, v=5.0):
+    """A configuration bound to ``path`` at ``arclen``, posed as the simulator poses it."""
+    rho, theta, status = path.pose(arclen)
+    return Configuration(r=rho, theta=theta, v=v, status=status, arclen=arclen)
 
 
 def fresh_state(vid=0, w=0.5, seed=0):
@@ -94,7 +101,7 @@ class TestObserve:
         assert sorted(observe(0, near, geom, P)) == [0, 1]
 
     def test_neighbour_paths_hidden(self, geom):
-        configs = {0: on_circle(0.0, arclen=12.0), 1: on_circle(0.3, arclen=7.0)}
+        configs = {0: posed(geom.circle, 12.0), 1: posed(geom.circle, 7.0)}
         obs = observe(0, configs, geom, P)
         assert obs[0].arclen == 12.0      # ego knows its own path coordinate
         assert obs[1].arclen is None      # the neighbour's is not observable
@@ -145,10 +152,43 @@ class TestEstimatePath:
         assert len(calls) > 100 and len({id(h) for h in calls}) > 4
 
 
+    def test_repeated_position_served_without_a_second_scan(self, geom, monkeypatch):
+        real_project = NavigationPath.project
+        scanned = []
+
+        def counting(path, x, y):
+            scanned.append(path)
+            return real_project(path, x, y)
+
+        monkeypatch.setattr(NavigationPath, "project", counting)
+        agent._nearest_entry_at.cache_clear()
+        path = geom.paths[PathKind(Maneuver.TURN_LEFT, 1)]
+        rho, theta, status = path.pose(15.0)
+        n = len(geom.entry_hypotheses)
+        first = estimate_path(Configuration(r=rho, theta=theta, v=5.0, status=status), geom)
+        assert len(scanned) == n
+        # another observer of the same position, at another speed: no second scan
+        again = estimate_path(Configuration(r=rho, theta=theta, v=0.0, status=status), geom)
+        assert again is first and len(scanned) == n
+        # a geometry of an equal spec is another key, with its own hypotheses
+        other = build_roundabout(RoundaboutSpec())
+        hyp = estimate_path(Configuration(r=rho, theta=theta, v=5.0, status=status), other)
+        assert hyp is not first and hyp in other.entry_hypotheses.values()
+        assert len(scanned) == 2 * n
+        # ever-new positions evict the oldest: the cache stays at its bound
+        bound = agent._nearest_entry_at.cache_info().maxsize
+        for k in range(2 * bound):
+            rho, theta, _ = path.pose(0.1 + 0.25 * k)
+            estimate_path(Configuration(r=rho, theta=theta, v=5.0, status=Status.ENTER), geom)
+        info = agent._nearest_entry_at.cache_info()
+        assert bound == 64 and info.currsize == bound
+        assert len(scanned) == (2 + 2 * bound) * n
+
+
 class TestUpdateEstimates:
     def test_new_neighbour_initialised(self, geom):
         state = fresh_state(vid=0)
-        obs = {0: on_circle(0.0, arclen=10.0), 1: on_circle(0.3)}
+        obs = {0: posed(geom.circle, 0.0), 1: on_circle(0.3)}
         update_estimates(state, obs, geom, P, AP, DELTA)
         assert state.w_hat == {1: 0.5}
         assert 1 in state.est_path
@@ -156,7 +196,7 @@ class TestUpdateEstimates:
 
     def test_estimate_kept_while_prediction_holds(self, geom):
         state = fresh_state(vid=0)
-        obs = {0: on_circle(0.0, arclen=10.0), 1: on_circle(0.3)}
+        obs = {0: posed(geom.circle, 0.0), 1: on_circle(0.3)}
         update_estimates(state, obs, geom, P, AP, DELTA)
         # pretend last step predicted exactly where the neighbour now is
         state.pred_xy[1] = obs[1].xy()
@@ -166,11 +206,11 @@ class TestUpdateEstimates:
     def test_deviation_triggers_reestimate_onto_grid(self, geom):
         state = fresh_state(vid=0)
         circle = geom.circle
-        obs0 = {0: on_circle(0.0, arclen=0.0), 1: on_circle(0.5, v=4.0)}
+        obs0 = {0: posed(circle, 0.0), 1: on_circle(0.5, v=4.0)}
         update_estimates(state, obs0, geom, P, AP, DELTA)
         decide_alone(state, obs0, circle, geom, P, GP, AP, DELTA)
         # neighbour shows up somewhere else entirely, moving faster
-        obs1 = {0: on_circle(0.05, arclen=1.0), 1: on_circle(0.8, v=9.0)}
+        obs1 = {0: posed(circle, 1.0), 1: on_circle(0.8, v=9.0)}
         update_estimates(state, obs1, geom, P, AP, DELTA)
         assert state.w_hat[1] in AP.w_grid
 
@@ -189,8 +229,7 @@ class TestReestimateOracle:
             state = fresh_state(vid=ego_id, w=float(rng.choice([0.2, 0.5, 0.8])))
             w_j = float(rng.choice(ap.w_grid))
             ego_s = float(rng.uniform(0.0, 100.0))
-            obs = {ego_id: on_circle(ego_s / geom.r_in, v=float(rng.uniform(0.0, 12.0)),
-                                     arclen=ego_s),
+            obs = {ego_id: posed(circle, ego_s, v=float(rng.uniform(0.0, 12.0))),
                    j: on_circle(ego_s / geom.r_in + float(rng.uniform(-0.8, 0.8)),
                                 v=float(rng.uniform(0.0, 12.0)))}
             update_estimates(state, obs, geom, P, ap, DELTA)
@@ -234,9 +273,10 @@ class TestReestimateOracle:
             keys, slots, _ = state.prep.games[state.vid]
             ids = sorted((state.vid, j))
             two = table_rows(state.prep.table, [slots[list(keys).index(v)] for v in ids])
+            sides = pair_sides(two, *pairs_with_reverse(2), cost_params, geom.r_in)
             alone = StepPrep(two, {state.vid: ({v: keys[v] for v in ids}, [0, 1], [0, 1])},
-                             speed_sums(two, cost_params),
-                             pair_sides(two, *pairs_with_reverse(2), cost_params, geom.r_in))
+                             speed_sums(two, cost_params), sides,
+                             pair_safety(sides, cost_params))
             assert got == batched(replace(state, prep=alone), j, obs_j, cost_params,
                                   agent_params, delta)
             assert got == reference_reestimate(state, j, obs_j, cost_params,
@@ -289,6 +329,8 @@ class TestFrozenGame:
             alone = pair_sides(game, *pairs_with_reverse(len(ids)), cost_params, geom.r_in)
             assert sides.shape == alone.shape  # no pair rows for one player
             assert sides.tobytes() == alone.tobytes()
+            safe, alone = state.prep.safe[rows], pair_safety(alone, cost_params)
+            assert safe.shape == alone.shape and safe.tobytes() == alone.tobytes()
             players.append(len(ids))
             return d
 
@@ -443,6 +485,7 @@ class TestStagedStep:
             if not paired:  # an empty table of the kernel's shape
                 S = len(GP.strategy_accels)
                 assert prep.sides.shape == (2, 2, 0, S, S, GP.horizon)
+                assert prep.safe.shape == (0, S, S)
             per_step.append((paired, len(kernel) - before))
             return prep
 
@@ -473,7 +516,7 @@ class TestStagedStep:
 class TestDecide:
     def test_lone_slow_vehicle_floors_it(self, geom):
         state = fresh_state(vid=3)
-        obs = {3: on_circle(2.0, v=1.0, arclen=40.0)}
+        obs = {3: posed(geom.circle, 40.0, v=1.0)}
         update_estimates(state, obs, geom, P, AP, DELTA)
         d = decide_alone(state, obs, geom.circle, geom, P, GP, AP, DELTA)
         assert d.accel == 30.0
@@ -481,7 +524,7 @@ class TestDecide:
         assert state.order == (3,)
 
     def test_deterministic_given_equal_state(self, geom):
-        obs = {0: on_circle(0.0, v=6.0, arclen=10.0),
+        obs = {0: posed(geom.circle, 0.0, v=6.0),
                1: on_circle(0.4, v=3.0),
                2: on_circle(5.9, v=7.0)}
         results = []
@@ -493,7 +536,7 @@ class TestDecide:
         assert results[0] == results[1]
 
     def test_player_cap_keeps_angular_nearest(self, geom):
-        obs = {0: on_circle(0.0, arclen=10.0),
+        obs = {0: posed(geom.circle, 0.0),
                1: on_circle(0.2), 2: on_circle(0.5), 3: on_circle(1.1),
                4: on_circle(6.0)}
         state = fresh_state(vid=0)
@@ -505,7 +548,7 @@ class TestDecide:
 
     def test_ego_plays_true_weight_neighbours_estimates(self, geom):
         state = fresh_state(vid=0, w=0.7)
-        obs = {0: on_circle(0.0, arclen=10.0), 1: on_circle(0.4)}
+        obs = {0: posed(geom.circle, 0.0), 1: on_circle(0.4)}
         update_estimates(state, obs, geom, P, AP, DELTA)
         state.w_hat[1] = 0.2
         d = decide_alone(state, obs, geom.circle, geom, P, GP, AP, DELTA)
@@ -514,7 +557,7 @@ class TestDecide:
 
     def test_replay_snapshot_frozen(self, geom):
         state = fresh_state(vid=0)
-        obs = {0: on_circle(0.0, v=6.0, arclen=10.0), 1: on_circle(0.4, v=3.0)}
+        obs = {0: posed(geom.circle, 0.0, v=6.0), 1: on_circle(0.4, v=3.0)}
         update_estimates(state, obs, geom, P, AP, DELTA)
         decide_alone(state, obs, geom.circle, geom, P, GP, AP, DELTA)
         # the game's rows of the step's table, in id order

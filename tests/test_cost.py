@@ -1,5 +1,6 @@
 """Stage-cost functions: worked values, invariants, tensor coherence."""
 
+import itertools
 import math
 
 import numpy as np
@@ -30,6 +31,7 @@ from roundabout_sim.cost import (
     _nearest_safe,
     horizon_weights,
     pair_order,
+    pair_safety,
     pair_sides,
     payoff_tensors,
     speed_sums,
@@ -53,12 +55,17 @@ def stack(trajs):
                      for name in ("theta", "rho", "v", "status")))
 
 
+def game_pairs(table, params, r_in):
+    """A game's pair rows as ``payoff_tensors`` reads them: ``pair_safety`` of the two ordered
+    pairs of a two-player game, ``pair_sides`` of every ordered pair of a larger one."""
+    sides = pair_sides(table, *pairs_with_reverse(len(table.theta)), params, r_in)
+    return pair_safety(sides, params) if len(table.theta) == 2 else sides
+
+
 def priced(trajs, w, params, r_in):
     """``payoff_tensors`` of one game, its speed rows and pairs priced by the package's kernels."""
     table = stack(trajs)
-    return payoff_tensors(speed_sums(table, params), w,
-                          pair_sides(table, *pairs_with_reverse(len(trajs)), params, r_in),
-                          params)
+    return payoff_tensors(speed_sums(table, params), w, game_pairs(table, params, r_in), params)
 
 
 def cfg(r=20.0, theta=0.0, v=8.0, status=Status.INSIDE, arclen=None):
@@ -230,11 +237,12 @@ def scalar_profile_cost(paths, starts, accel_seqs, w, geom, params, delta, horiz
 
 class TestPayoffTensors:
     @given(data=st.data())
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=80, deadline=None)
     def test_matches_scalar_reference(self, data):
         geom = build_roundabout(RoundaboutSpec())
         params = CostParams()
-        delta, horizon = 0.25, 4
+        delta = 0.25
+        horizon = data.draw(st.sampled_from([2, 4, 9]))  # 9 or more reach the pairwise sum
         strategies = build_strategies(horizon=horizon)
         K = data.draw(st.integers(1, 3))
         circle = geom.circle
@@ -326,7 +334,7 @@ class TestPayoffTensorsBitIdentity:
                 assert a.shape == b.shape
                 assert np.array_equal(a, b)
 
-    @pytest.mark.parametrize("horizon", [4, 9])
+    @pytest.mark.parametrize("horizon", [2, 4, 9])
     def test_random_games(self, geom, horizon):
         pool = rollout_pool(geom, horizon)
         codes = np.concatenate([t.status.ravel() for t in pool])
@@ -346,15 +354,15 @@ class TestPayoffTensorsBitIdentity:
         circle = geom.circle
         entry = geom.entry_hypotheses[PathKind(Maneuver.GO_STRAIGHT, 0)]
         params = CostParams()
-        for offsets in [(0.0, 0.0), (0.0, 4.0, 8.0), (0.0, 5.9, 6.0, 6.1),
-                        (0.0, 30.0, 60.0, 90.0), (0.0, 0.0, 3.0, 3.0)]:
-            for path in (circle, entry):
-                trajs = [table_rows(rollout([rollout_request(path, 10.0 + o, 7.0,
-                                                             path.pose(10.0 + o)[2])],
-                                            DEFAULT_ACCELS, 4, 0.25), 0) for o in offsets]
-                self.assert_same(trajs, [0.5] * len(trajs), params, geom.r_in)
+        for horizon, offsets, path in itertools.product(
+                (2, 4, 9), [(0.0, 0.0), (0.0, 4.0, 8.0), (0.0, 5.9, 6.0, 6.1),
+                            (0.0, 30.0, 60.0, 90.0), (0.0, 0.0, 3.0, 3.0)], (circle, entry)):
+            trajs = [table_rows(rollout([rollout_request(path, 10.0 + o, 7.0,
+                                                         path.pose(10.0 + o)[2])],
+                                        DEFAULT_ACCELS, horizon, 0.25), 0) for o in offsets]
+            self.assert_same(trajs, [0.5] * len(trajs), params, geom.r_in)
 
-    @pytest.mark.parametrize("horizon", [4, 9])
+    @pytest.mark.parametrize("horizon", [2, 4, 9])
     def test_exact_ties_and_window_edges(self, geom, horizon):
         # states drawn from small sets: equal gaps to different neighbours,
         # gaps of exactly 0 and pi, and every status pair; a gap of pi is
@@ -396,10 +404,10 @@ class TestPayoffTensorsBitIdentity:
     def test_weight_matrix_columns_equal_reference(self, geom, K):
         # every player's tensor of every column of a (K, B) weight matrix, strategy axes in
         # ascending id order, equals the reference priced with that column alone
-        pool = rollout_pool(geom, 4)
+        pools = {horizon: rollout_pool(geom, horizon) for horizon in (2, 4, 9)}
         rng = np.random.default_rng(40 + K)
         params = CostParams()
-        for _ in range(15):
+        for pool in [pools[4]] * 15 + [pools[2]] * 10 + [pools[9]] * 10:
             trajs = [pool[i] for i in rng.integers(0, len(pool), size=K)]
             w = rng.choice([0.0, 0.1, 0.5, 0.9, 1.0], size=(K, 6))
             got = priced(trajs, w, params, geom.r_in)
@@ -428,6 +436,22 @@ class TestPayoffTensorsBitIdentity:
             assert np.array_equal(a, k) and not np.array_equal(a, b)
             assert not np.shares_memory(a, b)
 
+    @pytest.mark.parametrize("horizon", [2, 4, 9])
+    def test_pair_safety_is_the_joint_kernel_with_one_candidate(self, geom, horizon):
+        # a two-player game's safety terms, gathered from the pair safety rows through the
+        # joint indices, equal the nearest-neighbour kernel's running minimum over one other
+        pool = rollout_pool(geom, horizon)
+        rng = np.random.default_rng(60 + horizon)
+        wts = horizon_weights(P.lam, horizon)
+        pairs_at = _joint_index(2, 5)[1]
+        for _ in range(100):
+            table = stack([pool[i] for i in rng.integers(0, len(pool), size=2)])
+            sides = pair_sides(table, *pairs_with_reverse(2), P, geom.r_in)
+            safe = pair_safety(sides, P)
+            assert safe.shape == (2, 5, 5)
+            want = _nearest_safe(sides, pairs_at, wts)
+            assert safe.take(pairs_at[0]).tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("S", [2, 5])
     @pytest.mark.parametrize("K", [1, 2, 3, 4])
     def test_joint_indices_cover_exactly_the_rows(self, K, S):
@@ -447,8 +471,7 @@ class TestPayoffTensorsBitIdentity:
         three = rollout(requests, (-10.0, 0.0, 10.0), 4, 0.25)
         for a, b in ((five, three), (three, five)):
             with pytest.raises(ValueError):
-                payoff_tensors(speed_sums(a, P), [0.5, 0.5],
-                               pair_sides(b, *pairs_with_reverse(2), P, geom.r_in), P)
+                payoff_tensors(speed_sums(a, P), [0.5, 0.5], game_pairs(b, P, geom.r_in), P)
         with pytest.raises(ValueError):
             stack([table_rows(five, 0), table_rows(three, 1)])
 

@@ -87,6 +87,13 @@ class TestStep:
             step(Configuration(r=20.0, theta=0.0, v=-1.0, status=Status.INSIDE, arclen=0.0),
                  0.0, 0.25, path)
 
+    def test_rejects_a_nan_speed(self, geom):
+        # a NaN passes ``v < 0``; at a = 0 it then reached the stop branch's 0 divisor
+        x = Configuration(r=20.0, theta=0.0, v=math.nan, status=Status.INSIDE, arclen=0.0)
+        for a in (0.0, -10.0, 10.0):
+            with pytest.raises(ValueError, match="speed must be non-negative"):
+                step(x, a, 0.25, geom.circle)
+
     def test_rejects_a_negative_or_nan_start_arclen(self, geom):
         # rollout's start check: from -0.1 m at 10 m/s the step itself would end past 0
         for s0 in (-0.1, math.nan):
@@ -306,6 +313,15 @@ class TestRollout:
             for batch in ([bad], [good, bad], [good, good, bad, good]):
                 with pytest.raises(ValueError, match="arclen"):
                     rollout(batch, DEFAULT_ACCELS, 4, 0.25)
+
+    def test_rejects_a_nan_start_speed_on_any_request(self, geom):
+        # the speed check, not pose_batch's arclen check on the NaN stages it would pose
+        path = geom.circle
+        good = rollout_request(path, 5.0, 10.0, Status.INSIDE)
+        bad = good[:2] + (math.nan,) + good[3:]
+        for batch in ([bad], [good, bad], [good, good, bad, good]):
+            with pytest.raises(ValueError, match="speed must be non-negative"):
+                rollout(batch, DEFAULT_ACCELS, 4, 0.25)
 
     def test_rejects_paths_of_two_radii(self, geom):
         # one status threshold, r_in + diameter, serves the whole batch

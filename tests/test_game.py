@@ -100,24 +100,29 @@ class TestReferenceBitIdentity:
         for trial in range(40):
             sizes = [5] * K if trial % 2 else rng.integers(1, 5, size=K).tolist()
             costs = [rng.integers(0, 3, size=sizes).astype(float) for _ in range(K)]
+            # permutations start with ascending id, the order solved without a copy
             for order in itertools.permutations(range(K)):
                 prof = tensor_equilibrium(costs, list(order))
+                assert prof == tensor_equilibrium(np.asfortranarray(costs), list(order))
                 want_prof, want_pay = reference_tensor_equilibrium(costs, list(order))
                 assert prof == want_prof
-                assert type(prof[0]) is int
+                assert all(type(s) is int for s in prof)
                 assert np.array_equal([c[prof] for c in costs], want_pay)
 
     @pytest.mark.parametrize("K", [1, 2, 3, 4])
     def test_batch_equals_slices(self, K):
         rng = np.random.default_rng(10 + K)
-        for B in (1, 9):
+        # ascending id is decision order already, which the solver reads without a copy
+        for B, ascending in itertools.product((1, 9), (False, True)):
             costs = [rng.integers(0, 3, size=(B,) + (4,) * K).astype(float)
                      for _ in range(K)]
-            order = rng.permutation(K).tolist()
+            order = list(range(K)) if ascending else rng.permutation(K).tolist()
             prof = tensor_equilibrium(costs, order)
             assert prof.shape == (B, K)
-            # the stacked (K, B, S, ..., S) form payoff_tensors returns solves the same
-            assert np.array_equal(tensor_equilibrium(np.stack(costs), order), prof)
+            # the stacked (K, B, S, ..., S) form payoff_tensors returns solves the same,
+            # also from a non-contiguous layout
+            for stacked in (np.stack(costs), np.asfortranarray(np.stack(costs))):
+                assert np.array_equal(tensor_equilibrium(stacked, order), prof)
             for b in range(B):
                 want_prof, want_pay = reference_tensor_equilibrium([c[b] for c in costs], order)
                 assert tuple(prof[b].tolist()) == want_prof

@@ -4,6 +4,7 @@ statistics of the benchmark pair comparison, imported."""
 import importlib.util
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -47,6 +48,12 @@ class TestAbInproc:
         assert lines[0] == "n=2, seeds 5-6, 2 repeats: 4 pairs, rows identical"
         assert lines[2].startswith("  speedup parent/change: total ")
         assert lines[2].endswith(" of 4")
+        median = lines[2].split("median per pair ")[1].split("x")[0]
+        quart = re.fullmatch(r"  per-pair ratio quartiles: q1 (\d+\.\d{3})x, "
+                             r"median (\d+\.\d{3})x, q3 (\d+\.\d{3})x", lines[3])
+        assert quart and quart[2] == median
+        assert float(quart[1]) <= float(quart[2]) <= float(quart[3])
+        assert len(lines) == 4
 
     def test_rows_that_differ_exit_1_naming_the_run(self, tmp_path):
         # a copy whose control period differs moves every position of every run
