@@ -178,10 +178,6 @@ def _next_arm_ahead(theta, arm_angles, grace=0.3):
                key=lambda m: (arm_angles[m] - theta + grace) % TWO_PI)
 
 
-def _nearest_entry(observed: Configuration, geometry: Geometry) -> NavigationPath:
-    return _nearest_entry_at(geometry, observed.r, observed.theta)
-
-
 @functools.lru_cache(maxsize=64)
 def _nearest_entry_at(geometry: Geometry, r: float, theta: float) -> NavigationPath:
     """The entry hypothesis nearest to the observed position ``(r, theta)``, first minimum wins.
@@ -214,12 +210,12 @@ def estimate_path(observed: Configuration, geometry: Geometry,
     ``observe`` drops them.
     """
     if observed.status == Status.ENTER:
-        return _nearest_entry(observed, geometry)
+        return _nearest_entry_at(geometry, observed.r, observed.theta)
     if observed.r <= geometry.r_in + eps_r:
         return geometry.circle
     if prev is not None and observed.r > prev.r + 1e-9:
         return geometry.exit_hypotheses[_next_arm_ahead(observed.theta, geometry.arm_angles)]
-    return _nearest_entry(observed, geometry)
+    return _nearest_entry_at(geometry, observed.r, observed.theta)
 
 
 def _game_keys(state: AgentState, obs: Mapping[int, Configuration], ego_path: NavigationPath,
@@ -289,13 +285,19 @@ def decide(state: AgentState, obs: Mapping[int, Configuration], prep: StepPrep,
     """
     ego_id = state.vid
     keys, slots, rows = prep.games[ego_id]
-    weights = {vid: state.w_agg if vid == ego_id else state.w_hat[vid] for vid in keys}
-    # take, not fancy indexing: a list index measured 2.5-4x the time of the gather
-    speed = prep.speed.take(slots, axis=0)
-    pairs = prep.sides.take(rows, axis=2) if len(slots) > 2 else prep.safe.take(rows, axis=0)
-
-    order = tuple(order_players(weights))
-    profile = _play(speed, weights, order, pairs, cost_params)
+    if len(slots) == 1:  # alone: its speed row is its game, with no pairs and one order
+        weights, order = {ego_id: state.w_agg}, (ego_id,)
+        costs = payoff_tensors(prep.speed[slots[0]:slots[0] + 1], [state.w_agg], None,
+                               cost_params)
+        profile = {ego_id: tensor_equilibrium(costs, (0,))[0]}
+    else:
+        ids = list(keys)  # by id, as ``_game_keys`` builds it
+        w = [state.w_agg if vid == ego_id else state.w_hat[vid] for vid in ids]
+        weights = dict(zip(ids, w))
+        order = tuple(order_players(weights))
+        # take, not fancy indexing: a list index measured 2.5-4x the time of the gather
+        pairs = prep.sides.take(rows, axis=2) if len(slots) > 2 else prep.safe.take(rows, axis=0)
+        profile = _play(prep.speed.take(slots, axis=0), ids, w, order, pairs, cost_params)
     accel = float(game_params.strategy_accels[profile[ego_id]])
 
     override = False
@@ -317,13 +319,13 @@ def decide(state: AgentState, obs: Mapping[int, Configuration], prep: StepPrep,
     return DecisionResult(accel=accel, override=override, profile=profile, weights=weights)
 
 
-def _play(speed, weights, order, pairs, cost_params):
-    """Solve the game of ``weights``' players, moving in ``order``, over their speed rows (by id)
-    and pair rows: a strategy index per player, or a list (one per game) when every weight is a
-    column of ``B``.  One cost array, players by id, goes from ``payoff_tensors`` to the solver."""
-    ids = sorted(weights)
-    costs = payoff_tensors(speed, [weights[v] for v in ids], pairs, cost_params)
-    prof = tensor_equilibrium(costs, [ids.index(v) for v in order if v in weights])
+def _play(speed, ids, w, order, pairs, cost_params):
+    """Solve the game of players ``ids`` (ascending) with weights ``w`` (same order), moving as
+    they come in ``order``, over their speed rows and pair rows: a strategy index per player, or
+    a list (one per game) when every weight is a column of ``B``.  One cost array, players by id,
+    goes from ``payoff_tensors`` to the solver."""
+    costs = payoff_tensors(speed, w, pairs, cost_params)
+    prof = tensor_equilibrium(costs, [ids.index(v) for v in order if v in ids])
     return dict(zip(ids, prof.T.tolist() if isinstance(prof, np.ndarray) else prof))
 
 
@@ -347,7 +349,9 @@ def _reestimate(state: AgentState, j: int, obs_j: Configuration,
     grid = np.array(agent_params.w_grid, dtype=float)
     w_ego = (np.full_like(grid, state.w_agg)
              if agent_params.estimator_ego_uses_true_weight else grid)
-    profile = _play(speed, {state.vid: w_ego, j: grid}, state.order, safe, cost_params)
+    players = sorted(pair)
+    profile = _play(speed, players, [w_ego if v == state.vid else grid for v in players],
+                    state.order, safe, cost_params)
     v_j = state.prep.table.v[slots[ids.index(j)]]
     v_prev, v1 = v_j[0, 0], v_j[:, 1].take(profile[j])
     a_obs = (obs_j.v - v_prev) / delta

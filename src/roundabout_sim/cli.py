@@ -393,7 +393,7 @@ def run_campaign(config: ExperimentConfig, out_dir: str, *,
         bounds.append((row.n_vehicles, start, len(tasks)))
 
     if jobs > 1 and len(tasks) > 1:
-        with Pool(processes=jobs) as pool:
+        with Pool(processes=min(jobs, len(tasks))) as pool:  # no idle workers to fork
             outcomes = list(pool.imap(_run_one, tasks, chunksize=4))
     else:
         outcomes = [_run_one(t) for t in tasks]

@@ -13,7 +13,8 @@ circulating traffic, the following distance ``D_c`` otherwise).  A
 circulating vehicle discounts queued entering traffic with the softer
 coefficient ``C_ins``.  The speed term penalises deviation from the
 reference speed ``v_l``, overspeeding much harder than dawdling, with
-creeping punished more inside the roundabout than on approach/exit lanes.
+creeping punished more once past the merge (inside, and on the exit leg)
+than while entering.
 
 Pair gaps combine the counter-clockwise driving-circle arc between the two
 position angles with the radial offset:
@@ -30,10 +31,13 @@ can shrink to ``D_c / sqrt(2)`` of actual separation.
 
 ``pair_sides`` prices ordered pairs of a rollout table's rows and
 ``speed_sums`` each row's speed term, so one call of each over a step's table
-serves every game of the step.  ``pair_safety`` sums each ordered pair's
-discounted safety cost from its sides: in a two-player game each player has
-one candidate neighbour, so that is the player's whole safety term, priced
-once per step for every two-player game and re-estimation.
+serves every game of the step.  ``speed_sums`` prices by lookup: each stage's
+squared deviation times one coefficient, ``C_o`` over the limit and
+otherwise its status's from a table cached per ``CostParams``.
+``pair_safety`` sums each ordered pair's discounted safety cost from its
+sides: in a two-player game each player has one candidate neighbour, so that
+is the player's whole safety term, priced once per step for every two-player
+game and re-estimation.
 ``payoff_tensors`` turns one game's speed and pair rows into one
 discounted-cost array ``(K, S, ..., S)``, a tensor per player with one
 strategy axis per player, players and axes in ascending id order, which the
@@ -70,8 +74,8 @@ class CostParams:
     E_inf: float = 1e12     # hard-wall cost
     C: float = 10.0         # proximity coefficient, circulating pairs
     C_ins: float = 1.0      # proximity coefficient toward entering traffic
-    C_en: float = 1.0       # speed-tracking coefficient while entering/exiting
-    C_in: float = 10.0      # speed-tracking coefficient while inside
+    C_en: float = 1.0       # speed-tracking coefficient while entering
+    C_in: float = 10.0      # speed-tracking coefficient once inside, exit leg included
     C_o: float = 1e3        # overspeed coefficient
     D: float = 30.0         # interaction range [m]
     D_en: float = 10.0      # merge comfort distance [m]
@@ -101,14 +105,16 @@ def horizon_weights(lam: float, horizon: int) -> np.ndarray:
 def _tables(params: CostParams, horizon: int):
     """Discount weights, then by status code ``3 * ego + other`` the range a pair
     counts within (none once either exited), the proximity coefficient and the
-    comfort wall (none where ``C_ins`` applies, ``D_en`` when merging)."""
+    comfort wall (none where ``C_ins`` applies, ``D_en`` when merging), then by
+    one vehicle's status code its speed-tracking coefficient at or below ``v_l``."""
     ego, other = np.divmod(np.arange(9), 3)
     soft = (ego == Status.INSIDE) & (other == Status.ENTER)
     merge = (ego == Status.ENTER) & (other == Status.INSIDE)
     reach = np.where((ego == Status.EXIT) | (other == Status.EXIT), -np.inf, params.D)
     coef = np.where(soft, params.C_ins, params.C)
     wall = np.where(soft, -np.inf, np.where(merge, params.D_en, params.D_c))
-    return horizon_weights(params.lam, horizon), reach, coef, wall
+    track = np.array([params.C_en, params.C_in, params.C_in])  # enter, inside, exit
+    return horizon_weights(params.lam, horizon), reach, coef, wall, track
 
 
 @functools.lru_cache(maxsize=8)
@@ -133,7 +139,7 @@ def pair_sides(table, ego, other, rev, params: CostParams, r_in: float) -> np.nd
     pairs, so a pair's prices do not depend on the call's other pairs.
     """
     theta, rho, stat = table.theta, table.rho, table.status
-    _, reach, coef, wall = _tables(params, theta.shape[-1])
+    _, reach, coef, wall, _ = _tables(params, theta.shape[-1])
     # take on index arrays, not fancy indexing: a list index measured 2-5x the gather's time
     # on a step's few rows, and the lookups by int8 ``code`` 1.4x
     ego, other, rev = (np.asarray(rows, np.intp) for rows in (ego, other, rev))
@@ -171,13 +177,18 @@ def pair_safety(sides: np.ndarray, params: CostParams) -> np.ndarray:
 
 def speed_sums(table, params: CostParams) -> np.ndarray:
     """Discounted speed cost of every strategy of every row of a rollout table: ``(R, S)``.  A
-    row depends on its rollout alone, so one call prices a step's rollouts for all its games."""
-    v, stat = table.v, table.status
-    dv2 = (params.v_l - v) ** 2
-    speed = np.where(v > params.v_l, params.C_o * dv2,
-                     np.where(stat == int(Status.ENTER), params.C_en * dv2,
-                              params.C_in * dv2))
-    return (speed * _tables(params, v.shape[-1])[0]).sum(axis=-1)
+    row depends on its rollout alone, so one call prices a step's rollouts for all its games.
+
+    Each stage's ``(v_l - v)^2`` is multiplied by one coefficient, ``C_o`` over
+    the limit and otherwise its status's looked up from ``_tables``: a product
+    commutes bit for bit, so this is the three-way choice between the
+    coefficients' products."""
+    v = table.v
+    wts, *_, track = _tables(params, v.shape[-1])
+    speed = (params.v_l - v) ** 2
+    speed *= np.where(v > params.v_l, params.C_o, track.take(table.status))
+    speed *= wts
+    return speed.sum(axis=-1)
 
 
 @functools.lru_cache(maxsize=8)

@@ -10,7 +10,12 @@ the usual kinematic update
 except that braking through zero stops at the standstill point: when
 ``v + a*delta < 0`` the vehicle travels ``v^2 / (2|a|)`` and ends with
 ``v' = 0`` (no reversing).  This update lives in one kernel, ``_advance``,
-which takes floats or arrays; ``step`` and ``rollout`` both use it.
+which takes floats or arrays; ``step`` and ``rollout`` both use it.  It reads
+the acceleration only through three prepared terms, ``a*delta``,
+``a*delta^2 / 2`` and ``2|a|`` (``_accel_terms``): ``step`` computes them as
+floats, and ``rollout`` reads its alphabet's once per ``(accels, delta)``
+from a cached read-only tuple (``_alphabet``), so a rollout does not rebuild
+them.
 
 Status advances monotonically enter -> inside -> exit against the occupancy
 disc of radius ``r_in + diameter``: a vehicle becomes *inside* when its
@@ -22,7 +27,8 @@ two crossing arclens.  ``advance_status`` applies it to a code or an array.
 ``rollout`` advances every strategy of a batch of requests (a simulation
 step's worth) at once into one ``Rollout`` table.  Only stage 1 applies a
 strategy's acceleration: one ``_advance`` call on the requests' ``(R, 1)``
-start columns against the ``(S,)`` alphabet.  Every later stage coasts, and
+start columns against the ``(S,)`` alphabet's terms, whose stage-1 speed one
+broadcast writes to every later stage.  Every later stage coasts, and
 at ``a = 0`` ``_advance`` gives exactly ``v' = v`` and ``s' = s + v*delta``
 (``v + 0*delta`` is ``v``, the stop branch is a 0 mask times a finite
 number, and the added zeros change no bit), so each coasting stage's arclen
@@ -41,6 +47,7 @@ bit.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -124,16 +131,38 @@ def _check_inputs(s, v, delta: float) -> None:
         raise ValueError(f"speed must be non-negative, got {v}")
 
 
-def _advance(s, v, a, delta):
+def _accel_terms(a, delta):
+    """The terms of acceleration ``a`` that ``_advance`` reads: ``(a*delta, a*delta^2/2, 2|a|)``.
+
+    Floats or arrays; ``rollout`` takes its alphabet's from ``_alphabet``.
+    """
+    return a * delta, 0.5 * a * delta * delta, 2.0 * abs(a)
+
+
+@functools.lru_cache(maxsize=8)
+def _alphabet(accels: tuple, delta: float):
+    """``_accel_terms`` of a strategy alphabet as ``(S,)`` arrays, read-only: built once per
+    ``(accels, delta)`` and shared by every rollout of it."""
+    terms = _accel_terms(np.array(accels, float), delta)
+    for term in terms:
+        term.flags.writeable = False
+    return terms
+
+
+def _advance(s, v, terms, delta):
     """One kinematic step from arclen ``s`` at speed ``v``: ``(s', v')``, floats or arrays.
 
-    Each branch's displacement is multiplied by its 0/1 mask, which is exact
-    and needs no numpy call on floats; where the vehicle keeps going, 1 added
-    to the divisor keeps a zero ``a`` from dividing (a stop needs ``a < 0``).
+    ``terms`` are the acceleration's ``_accel_terms``, each computed with the
+    operations and in the order the update would use, so preparing them moves
+    no bit.  Each branch's displacement is multiplied by its 0/1 mask, which
+    is exact and needs no numpy call on floats; where the vehicle keeps going,
+    1 added to the divisor keeps a zero ``a`` from dividing (a stop needs
+    ``a < 0``).
     """
-    v_next = v + a * delta
+    a_delta, half_a_delta2, two_abs_a = terms
+    v_next = v + a_delta
     go, stop = v_next >= 0.0, v_next < 0.0
-    disp = go * (v * delta + 0.5 * a * delta * delta) + stop * (v * v / (2.0 * abs(a) + go))
+    disp = go * (v * delta + half_a_delta2) + stop * (v * v / (two_abs_a + go))
     return s + disp, abs(go * v_next)  # abs: a stop's -0.0 becomes 0.0
 
 
@@ -143,7 +172,7 @@ def step(x: Configuration, a: float, delta: float, path: NavigationPath,
     if x.arclen is None:
         raise ValueError("configuration is not bound to a path position")
     _check_inputs(x.arclen, x.v, delta)
-    arclen, v_next = _advance(x.arclen, x.v, a, delta)
+    arclen, v_next = _advance(x.arclen, x.v, _accel_terms(a, delta), delta)
     rho, theta, _ = path.pose(arclen)
     status = _STATUS[advance_status(x.status, rho, path.r_in + diameter)]
     return Configuration(r=rho, theta=theta, v=v_next, status=status, arclen=arclen)
@@ -184,10 +213,10 @@ def rollout(requests: Sequence[tuple], accels: Sequence[float], horizon: int, de
     table = np.empty((4, len(requests), len(accels), horizon))
     table[..., 0] = start[:4, :, None]
     arc, v, rho, theta = table
-    arc[:, :, 1], v[:, :, 1] = _advance(start[0, :, None], start[1, :, None],
-                                        np.array(accels, float), delta)
-    v[:, :, 2:] = v[:, :, 1:2]
-    coast = v[:, :, 1] * delta
+    arc[:, :, 1], v1 = _advance(start[0, :, None], start[1, :, None],
+                                _alphabet(tuple(accels), delta), delta)
+    v[:, :, 1:] = v1[:, :, None]
+    coast = v1 * delta
     for t in range(2, horizon):
         np.add(arc[:, :, t - 1], coast, out=arc[:, :, t])
     rho[:, :, 1:], theta[:, :, 1:], _ = NavigationPath.pose_batch(

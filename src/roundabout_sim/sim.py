@@ -206,39 +206,36 @@ def run_simulation(n_vehicles: int, seed: int, geometry: Geometry,
     rows: List[TraceRow] = []
     collision = None
     min_distance, _ = min_pairwise([(v.config.r, v.config.theta) for v in vehicles.values()])
+    delta, accels = sim_params.delta, game_params.strategy_accels
     t = 0
     while t < sim_params.max_steps:
+        # vehicles are keyed 0..n-1 in insertion order, so ``live`` is in id order
         live = {vid: v for vid, v in vehicles.items() if not v.removed}
         configs = {vid: v.config for vid, v in live.items()}
         views = {}
-        for vid in sorted(live):
-            if configs[vid].status != Status.EXIT:
+        for vid, cfg in configs.items():
+            if cfg.status != Status.EXIT:
                 obs = views[vid] = observe(vid, configs, geometry, cost_params)
-                update_estimates(agents[vid], obs, geometry, cost_params, agent_params,
-                                 sim_params.delta)
+                update_estimates(agents[vid], obs, geometry, cost_params, agent_params, delta)
         prep = prepare_step([(agents[vid], obs, live[vid].path) for vid, obs in views.items()],
-                            cost_params, game_params, agent_params, sim_params.delta,
+                            cost_params, game_params, agent_params, delta,
                             geometry.r_in, diameter) if views else None
         now: List[TraceRow] = []
-        for vid in sorted(live):
-            cfg = configs[vid]
+        for vid, cfg in configs.items():
             if vid not in views:
                 # out of the negotiation: just get back up to speed and leave
-                accel = _cruise_accel(cfg.v, cost_params.v_l, sim_params.delta,
-                                      game_params.strategy_accels)
+                accel = _cruise_accel(cfg.v, cost_params.v_l, delta, accels)
                 est, override, pred = {}, False, {}
             else:
                 d = decide(agents[vid], views[vid], prep, cost_params, game_params, agent_params)
                 accel, est, override = d.accel, d.weights, d.override
-                pred = {j: float(game_params.strategy_accels[d.profile[j]])
-                        for j in d.profile if j != vid}
-            now.append(TraceRow(t=t, vid=vid, r=cfg.r, theta=cfg.theta, v=cfg.v,
-                                status=cfg.status, accel=accel, est=est,
-                                override=override, pred=pred))
+                pred = {j: float(accels[k]) for j, k in d.profile.items() if j != vid}
+            now.append(TraceRow(t, vid, cfg.r, cfg.theta, cfg.v, cfg.status, accel, est,
+                                override, pred))
         rows.extend(now)
         for row in now:
             veh = live[row.vid]
-            veh.config = step(veh.config, row.accel, sim_params.delta, veh.path, diameter)
+            veh.config = step(veh.config, row.accel, delta, veh.path, diameter)
             if veh.exit_step is None and veh.config.status == Status.EXIT:
                 veh.exit_step = t + 1
             if row.status == Status.EXIT and veh.config.r > removal_r:

@@ -137,16 +137,17 @@ class TestEstimatePath:
     @pytest.mark.parametrize("n, seeds", [(8, range(42, 52)), (4, range(42, 62))])
     def test_nearest_entry_same_as_pose_rule(self, geom, monkeypatch, n, seeds):
         """Comparing ``project``'s own distances picks the hypothesis that re-posing picks."""
-        fast = agent._nearest_entry
+        fast = agent._nearest_entry_at
         calls = []
 
-        def checked(observed, geometry):
-            got = fast(observed, geometry)
+        def checked(geometry, r, theta):
+            got = fast(geometry, r, theta)
+            observed = Configuration(r=r, theta=theta, v=0.0, status=Status.ENTER)
             assert got is reference_nearest_entry(observed, geometry)
             calls.append(got)
             return got
 
-        monkeypatch.setattr(agent, "_nearest_entry", checked)
+        monkeypatch.setattr(agent, "_nearest_entry_at", checked)
         for seed in seeds:
             run_simulation(n, seed, geom)
         assert len(calls) > 100 and len({id(h) for h in calls}) > 4
@@ -523,6 +524,30 @@ class TestDecide:
         assert not d.override
         assert state.order == (3,)
 
+    def test_lone_vehicle_prices_and_solves_its_one_row_once(self, geom, monkeypatch):
+        # alone (and with a neighbour the player cap trims): one payoff_tensors call on its
+        # (1, S) speed row, one solve of the (1, S) costs, its first minimum the decision
+        real_payoff, real_solve = agent.payoff_tensors, agent.tensor_equilibrium
+        for obs, cap in (({3: posed(geom.circle, 40.0, v=4.0)}, 4),
+                         ({3: posed(geom.circle, 40.0, v=4.0), 5: on_circle(2.5)}, 1)):
+            priced, solved = [], []
+            monkeypatch.setattr(agent, "payoff_tensors", lambda speed, *args: priced.append(
+                speed.copy()) or real_payoff(speed, *args))
+            monkeypatch.setattr(agent, "tensor_equilibrium", lambda costs, *args: solved.append(
+                (costs.copy(), args)) or real_solve(costs, *args))
+            state, ap = fresh_state(vid=3, w=0.6), replace(AP, player_cap=cap)
+            update_estimates(state, obs, geom, P, ap, DELTA)
+            prep = agent.prepare_step([(state, obs, geom.circle)], P, GP, ap, DELTA, geom.r_in)
+            d = agent.decide(state, obs, prep, P, GP, ap)
+            assert len(priced) == 1 and priced[0].shape == (1, len(GP.strategy_accels))
+            assert priced[0].tobytes() == prep.speed[prep.games[3][1]].tobytes()
+            assert len(solved) == 1 and solved[0][0].shape == priced[0].shape
+            assert solved[0][0].tobytes() == (0.6 * priced[0]).tobytes()
+            best = int(np.argmin(solved[0][0][0]))
+            assert d.profile == {3: best} and type(d.profile[3]) is int
+            assert d.accel == GP.strategy_accels[best] and d.weights == {3: 0.6}
+            assert state.order == (3,) and state.pred_xy == {}
+
     def test_deterministic_given_equal_state(self, geom):
         obs = {0: posed(geom.circle, 0.0, v=6.0),
                1: on_circle(0.4, v=3.0),
@@ -569,18 +594,22 @@ class TestDecide:
 
 
 class TestDeadlockOverride:
-    def stopped_obs(self, ego_status=Status.INSIDE, other_status=Status.INSIDE):
-        ego = Configuration(r=20.0, theta=0.0, v=0.0, status=ego_status, arclen=10.0)
-        other = Configuration(r=20.0, theta=0.4, v=0.0, status=other_status)
-        return {0: ego, 1: other}
+    def stopped_obs(self, geom, ego_path, arclen):
+        """Everyone stopped: ego posed on ``ego_path`` at ``arclen`` and a circulating
+        neighbour 0.4 rad ahead of it on the driving circle, in ego's observation range."""
+        ego = posed(ego_path, arclen, v=0.0)
+        obs = {0: ego, 1: on_circle((ego.theta + 0.4) % (2 * math.pi), v=0.0)}
+        assert sorted(observe(0, obs, geom, P)) == [0, 1]
+        return obs
 
     def test_coin_decides_and_is_consumed(self, geom):
         for seed in range(6):
             state = fresh_state(vid=0, seed=seed)
             twin = np.random.default_rng(seed)
-            obs = self.stopped_obs()
+            obs = self.stopped_obs(geom, geom.circle, 0.0)
             update_estimates(state, obs, geom, P, AP, DELTA)
             d = decide_alone(state, obs, geom.circle, geom, P, GP, AP, DELTA)
+            assert sorted(d.profile) == [0, 1]
             assert d.override == (twin.random() < AP.deadlock_prob)
             if d.override:
                 assert d.accel == AP.deadlock_accel
@@ -591,18 +620,20 @@ class TestDeadlockOverride:
         # seed 2 wins its coin flip, but an entering ego must keep waiting
         state = fresh_state(vid=0, seed=2)
         assert np.random.default_rng(2).random() < AP.deadlock_prob
-        obs = self.stopped_obs(ego_status=Status.ENTER)
-        update_estimates(state, obs, geom, P, AP, DELTA)
         path = geom.paths[PathKind(Maneuver.GO_STRAIGHT, 0)]
+        obs = self.stopped_obs(geom, path, 30.0)  # on the approach lane, 12 m out
+        assert obs[0].status == Status.ENTER
+        update_estimates(state, obs, geom, P, AP, DELTA)
         d = decide_alone(state, obs, path, geom, P, GP, AP, DELTA)
+        assert sorted(d.profile) == [0, 1]
         assert not d.override
         # the draw still happened, keeping streams aligned across branches
         assert state.rng.random() == np.random.default_rng(2).random(2)[1]
 
     def test_no_draw_while_anyone_moves(self, geom):
         state = fresh_state(vid=0, seed=2)
-        obs = self.stopped_obs()
-        obs[1] = Configuration(r=20.0, theta=0.4, v=2.0, status=Status.INSIDE)
+        obs = self.stopped_obs(geom, geom.circle, 0.0)
+        obs[1] = replace(obs[1], v=2.0)
         update_estimates(state, obs, geom, P, AP, DELTA)
         decide_alone(state, obs, geom.circle, geom, P, GP, AP, DELTA)
         assert state.rng.random() == np.random.default_rng(2).random()

@@ -115,6 +115,32 @@ class TestReports:
         trace = os.path.join("traces", "n4", "run_00000044.csv")
         assert (tmp_path / "a" / trace).read_bytes() == (tmp_path / "b" / trace).read_bytes()
 
+    def test_pool_capped_at_task_count(self, tmp_path, monkeypatch):
+        # a stand-in pool records its size and runs the tasks in this process
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap(self, func, tasks, chunksize=1):
+                return map(func, tasks)
+
+        cfg = parse_config("campaign = 2 x 2\n")
+        ref, _ = run_campaign(cfg, str(tmp_path / "serial"), jobs=1)
+        monkeypatch.setattr(cli, "Pool", RecordingPool)
+        report, errors = run_campaign(cfg, str(tmp_path / "pool"), jobs=16)
+        assert sizes == [2]
+        assert errors == [] and report == ref
+        assert ((tmp_path / "pool" / "summary.csv").read_bytes()
+                == (tmp_path / "serial" / "summary.csv").read_bytes())
+
     def test_summary_files_mirror_each_other(self, tmp_path):
         report, _ = run_campaign(parse_config(SMALL), str(tmp_path), jobs=1)
         with open(tmp_path / "summary.csv", newline="") as fh:

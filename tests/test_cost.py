@@ -116,6 +116,7 @@ class TestStageCosts:
         assert phi_speed(5.0, Status.INSIDE, P) == pytest.approx(360.0)
         assert phi_speed(11.0, Status.INSIDE, P) == 0.0
         assert phi_speed(5.0, Status.EXIT, P) == pytest.approx(360.0)  # != enter
+        assert phi_speed(8.0, Status.EXIT, P) == 90.0  # the exit leg pulls as hard as inside
 
     def test_step_cost_blend(self):
         assert step_cost(0.5, 100.0, 36.0) == pytest.approx(68.0)
@@ -474,6 +475,37 @@ class TestPayoffTensorsBitIdentity:
                 payoff_tensors(speed_sums(a, P), [0.5, 0.5], game_pairs(b, P, geom.r_in), P)
         with pytest.raises(ValueError):
             stack([table_rows(five, 0), table_rows(three, 1)])
+
+
+class TestSpeedSums:
+    """Each stage's squared deviation times one looked-up coefficient is ``phi_speed``."""
+
+    def test_rows_equal_discounted_phi_speed(self):
+        # every status under, at and over the limit, and rows that cross enter -> inside
+        # -> exit within the horizon, so an exit stage sits in the same row as the others
+        E, I, X = Status.ENTER, Status.INSIDE, Status.EXIT
+        speeds = [0.0, 3.5, 8.0, P.v_l, 11.5, 14.0]
+        rows = [(list(st), [v] * 4) for st in ((E,) * 4, (I,) * 4, (X,) * 4) for v in speeds]
+        rows += [((E, I, X, X), [8.0, 9.0, 12.0, 8.0]), ((E, E, I, X), [2.0, 11.0, 5.0, 8.0]),
+                 ((I, X, X, X), [13.0, 8.0, 0.0, 11.0])]
+        v = np.array([vs for _, vs in rows])[:, None]
+        status = np.array([[int(x) for x in st] for st, _ in rows], dtype=np.int8)[:, None]
+        table = Rollout(theta=np.zeros_like(v), rho=np.zeros_like(v), v=v, status=status)
+        got = speed_sums(table, P)
+        wts = horizon_weights(P.lam, 4)
+        assert got.shape == (len(rows), 1)
+        for k, (st, vs) in enumerate(rows):
+            want = sum(phi_speed(vt, s, P) * wt for vt, s, wt in zip(vs, st, wts))
+            assert got[k, 0] == want, (st, vs)
+        exit_row = speeds.index(8.0) + 2 * len(speeds)
+        assert got[exit_row, 0] == 90.0 * wts.sum()  # the worked value, every stage exit
+
+    def test_coefficients_follow_the_params(self):
+        other = CostParams(C_en=2.0, C_in=20.0)
+        table = Rollout(theta=np.zeros((1, 1, 2)), rho=np.zeros((1, 1, 2)),
+                        v=np.full((1, 1, 2), 10.0), status=np.array([[[0, 2]]], np.int8))
+        assert speed_sums(table, P)[0, 0] == 1.0 + 10.0 * P.lam
+        assert speed_sums(table, other)[0, 0] == 2.0 + 20.0 * P.lam
 
 
 class TestOnePlayerGames:

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -18,7 +18,9 @@ from oracles import (
 )
 from roundabout_sim.dynamics import (
     Configuration,
+    _accel_terms,
     _advance,
+    _alphabet,
     _status_run,
     advance_status,
     rollout,
@@ -113,6 +115,54 @@ class TestStep:
         assert y.v >= 0.0
         assert y.arclen >= x.arclen
         assert y.r == geom.r_in
+
+
+def pre_change_advance(s, v, a, delta):
+    """The kinematic step as written before it read prepared acceleration terms."""
+    v_next = v + a * delta
+    go, stop = v_next >= 0.0, v_next < 0.0
+    disp = go * (v * delta + 0.5 * a * delta * delta) + stop * (v * v / (2.0 * abs(a) + go))
+    return s + disp, abs(go * v_next)
+
+
+class TestPreparedTerms:
+    @given(s=st.floats(0.0, 120.0), v=st.one_of(st.just(0.0), st.floats(0.0, 15.0)),
+           a=st.one_of(st.just(0.0), st.floats(-50.0, 30.0)),
+           delta=st.sampled_from([0.25, 0.1, 0.4]))
+    @example(s=3.0, v=0.0, a=0.0, delta=0.25)    # standstill, coasting
+    @example(s=3.0, v=4.0, a=0.0, delta=0.25)    # coasting
+    @example(s=3.0, v=4.0, a=-50.0, delta=0.25)  # stops within the step
+    @example(s=3.0, v=0.0, a=-10.0, delta=0.25)  # brakes at a standstill
+    @settings(max_examples=300)
+    def test_equal_to_the_pre_change_formula(self, s, v, a, delta):
+        # floats as ``step`` calls it, and the (1, S) array of ``rollout`` against a cached
+        # alphabet holding ``a``, bit for bit; -0.0 and 0.0 differ in ``hex``
+        want = pre_change_advance(s, v, a, delta)
+        got = _advance(s, v, _accel_terms(a, delta), delta)
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+        accels = (a,) + DEFAULT_ACCELS
+        col = np.array([[s]]), np.array([[v]])
+        rows = _advance(*col, _alphabet(accels, delta), delta)
+        ref = pre_change_advance(*col, np.array(accels), delta)
+        for got_arr, ref_arr, x in zip(rows, ref, want):
+            assert got_arr.tobytes() == ref_arr.tobytes()
+            assert got_arr[0, 0].item().hex() == x.hex()
+
+    def test_alphabet_read_only_and_shared(self, geom):
+        terms = _alphabet(DEFAULT_ACCELS, 0.25)
+        assert _alphabet(DEFAULT_ACCELS, 0.25) is terms
+        assert [t.tolist() for t in terms] == [
+            list(x) for x in zip(*(_accel_terms(a, 0.25) for a in DEFAULT_ACCELS))]
+        for t in terms:
+            assert not t.flags.writeable
+            with pytest.raises(ValueError):
+                t[0] = 1.0
+        # every rollout of the alphabet reads the one tuple, a list of it too: no rebuild
+        before = _alphabet.cache_info()
+        for accels in (DEFAULT_ACCELS, list(DEFAULT_ACCELS)):
+            rollout([rollout_request(geom.circle, 5.0, 3.0, Status.INSIDE)], accels, 4, 0.25)
+        after = _alphabet.cache_info()
+        assert (after.hits - before.hits, after.misses) == (2, before.misses)
 
 
 class TestStatus:
@@ -254,10 +304,10 @@ class TestRollout:
                             0.25)
             for k, (path, s0, v0, _) in enumerate(batch):
                 for i, a in enumerate(DEFAULT_ACCELS):
-                    s, v = _advance(s0, v0, a, 0.25)
+                    s, v = _advance(s0, v0, _accel_terms(a, 0.25), 0.25)
                     arcs, speeds = [s], [v]
                     for _ in range(2, horizon):
-                        s, v = _advance(s, v, 0.0, 0.25)
+                        s, v = _advance(s, v, _accel_terms(0.0, 0.25), 0.25)
                         arcs.append(s)
                         speeds.append(v)
                     stopped += v == 0.0
